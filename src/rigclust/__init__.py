@@ -7,7 +7,14 @@ exponent, and a CLI tying the two sides together.
 
 __version__ = "0.1.0"
 
-from .weights import Degenerate, Finite, InfiniteMomentError, Pareto, WeightLaw
+from .weights import (
+    Degenerate,
+    DomainError,
+    Finite,
+    InfiniteMomentError,
+    Pareto,
+    WeightLaw,
+)
 from .mixedpoisson import (
     MixingSpec,
     Pmf,
@@ -23,6 +30,7 @@ from .theory import (
     LimitLaws,
     LimitTerms,
     ModelParams,
+    adaptive_limit_laws,
     attribute_tail_asymptotic,
     coefficient_from_ratio,
     degree_tail_asymptotic,

@@ -8,13 +8,15 @@ Subcommands:
 * ``fit-delta`` -- log-log slope of a two-column CSV within a degree window;
 * ``stats``     -- clustering spectrum of an external edge list.
 
-Exit codes: 0 success, 1 usage error, 2 malformed data, 3 budget abort.
+Exit codes: 0 success, 1 usage error or weight laws outside the theory's
+domain, 2 malformed data, 3 budget abort.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from .experiment import (
@@ -24,11 +26,14 @@ from .experiment import (
     fit_delta,
     read_config,
     run,
+    simulate,
+    write_replicates,
 )
 from .graphgen import EdgeBudgetError
 from .spectrum import DataFormatError, clustering_spectrum  # noqa: F401  (re-export for users)
 from .spectrum import read_edge_list, write_spectrum_csv
 from .theory import is_pareto_pair, theory_curve
+from .weights import DomainError
 
 __all__ = ["main"]
 
@@ -101,15 +106,16 @@ def _cmd_theory(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    report = run(config, workers=args.workers)
-    target = args.out or (config.output_dir and
-                          f"{config.output_dir}/pooled_spectrum.csv")
-    if target:
-        write_spectrum_csv(report.pooled, target)
-    else:
-        write_spectrum_csv(report.pooled, sys.stdout)
-    if report.failed:
-        print(f"warning: {len(report.failed)} replicate(s) aborted on the edge budget",
+    sim = simulate(config, workers=args.workers)
+    target = args.out
+    if config.output_dir:
+        os.makedirs(config.output_dir, exist_ok=True)
+        target = target or os.path.join(config.output_dir, "pooled_spectrum.csv")
+        if config.save_replicates:
+            write_replicates(sim.spectra, config.output_dir)
+    write_spectrum_csv(sim.pooled, target or sys.stdout)
+    if sim.failed:
+        print(f"warning: {len(sim.failed)} replicate(s) aborted on the edge budget",
               file=sys.stderr)
     return EXIT_OK
 
@@ -223,7 +229,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataFormatError as exc:

@@ -61,6 +61,9 @@ __all__ = [
     "build_config",
     "config_hash",
     "replicate_seed",
+    "Simulation",
+    "simulate",
+    "write_replicates",
     "run",
     "fit_delta",
     "default_delta_window",
@@ -130,6 +133,8 @@ class ExperimentConfig:
     master_seed: int = 0
     k_min: int = 2
     k_max: int = 50
+    #: Cap on the theory grid; the grid itself is sized from ``k_max`` (see
+    #: :func:`rigclust.theory.adaptive_limit_laws`).
     pmf_k_max: int = 4096
     tol: float = 1e-10
     generator: str = "fast"
@@ -399,12 +404,7 @@ class ComparisonReport:
                        "scipy_version": _scipy_version()}, f, indent=2, sort_keys=True)
             f.write("\n")
         if self.config.save_replicates:
-            rep_dir = os.path.join(out_dir, "replicates")
-            os.makedirs(rep_dir, exist_ok=True)
-            for i, spec in enumerate(self.spectra):
-                if spec is not None:
-                    write_spectrum_csv(
-                        spec, os.path.join(rep_dir, f"replicate_{i:04d}.csv"))
+            write_replicates(self.spectra, out_dir)
 
 
 def _scipy_version() -> str:
@@ -427,9 +427,17 @@ def _se(values: list) -> float | None:
     return float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
 
 
-def run(config: ExperimentConfig, workers: int = 1) -> ComparisonReport:
-    """Simulate, pool, predict, and fit; see the module docstring."""
-    t0 = time.monotonic()
+class Simulation(NamedTuple):
+    """Replicate spectra in replicate order (None where the edge budget
+    aborted one), the abort details, and the pool of the survivors."""
+
+    pooled: ClusteringSpectrum
+    spectra: list
+    failed: list
+
+
+def simulate(config: ExperimentConfig, workers: int = 1) -> Simulation:
+    """Run every replicate and pool the spectra; no theory is built."""
     results = _run_replicates(config, workers)
     results.sort(key=lambda t: t[0])
     spectra = [spec for _, spec, _ in results]
@@ -438,7 +446,23 @@ def run(config: ExperimentConfig, workers: int = 1) -> ComparisonReport:
     if not good:
         raise EdgeBudgetError("every replicate exceeded the edge budget: "
                               + failed[0]["error"])
-    pooled = pool(good)
+    return Simulation(pool(good), spectra, failed)
+
+
+def write_replicates(spectra: list, out_dir: str) -> None:
+    """Per-replicate spectrum CSVs under ``out_dir/replicates``."""
+    rep_dir = os.path.join(out_dir, "replicates")
+    os.makedirs(rep_dir, exist_ok=True)
+    for i, spec in enumerate(spectra):
+        if spec is not None:
+            write_spectrum_csv(spec, os.path.join(rep_dir, f"replicate_{i:04d}.csv"))
+
+
+def run(config: ExperimentConfig, workers: int = 1) -> ComparisonReport:
+    """Simulate, pool, predict, and fit; see the module docstring."""
+    t0 = time.monotonic()
+    pooled, spectra, failed = simulate(config, workers)
+    good = [s for s in spectra if s is not None]
 
     ks = list(range(config.k_min, config.k_max + 1))
     curve = {row.k: row for row in theory_curve(

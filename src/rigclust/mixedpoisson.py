@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .weights import Degenerate, Finite, Pareto, WeightLaw
+from .weights import Degenerate, DomainError, Finite, Pareto, WeightLaw
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .theory import ModelParams
@@ -427,8 +427,8 @@ def pmf_offspring(params: "ModelParams", k_max: int = DEFAULT_K_MAX,
     """
     mean = params.a(1) * params.b(1) / math.sqrt(params.beta)
     if mean <= 0.0:
-        raise ValueError("offspring law undefined: E[N] = 0 "
-                         "(a weight law is degenerate at zero)")
+        raise DomainError("offspring law undefined: E[N] = 0 "
+                          "(a weight law is degenerate at zero)")
     base = pmf_mixed_poisson(mixing_spec(params, "attribute", 0), k_max + 1, tol)
     s = np.arange(base.mass.size - 1)
     mass = (s + 1) * base.mass[1:] / mean

@@ -50,11 +50,13 @@ from .stoppedsum import StoppedSumSpec, convolve, pmf_stopped_sum, tail_from_pmf
 from .weights import InfiniteMomentError, Pareto, WeightLaw
 
 __all__ = [
+    "GRID_TAIL_RTOL",
     "Interval",
     "ModelParams",
     "LimitTerms",
     "LimitLaws",
     "limit_terms",
+    "adaptive_limit_laws",
     "coefficient_from_ratio",
     "ratio_from_coefficient",
     "predict_c",
@@ -68,6 +70,15 @@ __all__ = [
 ]
 
 _TIE_RTOL = 1e-9
+
+#: Largest grid tail mass :func:`theory_curve` accepts, relative to each route
+#: law's grid mass at and beyond the last requested degree: the grid then
+#: widens any A/B interval by at most this relative amount, four orders of
+#: magnitude below the 10 % width at which rows switch to asymptotics.
+GRID_TAIL_RTOL = 1e-5
+
+#: Smallest grid :func:`adaptive_limit_laws` builds.
+_MIN_GRID = 64
 
 
 class Interval(NamedTuple):
@@ -128,6 +139,12 @@ def _require_fourth_moments(params: ModelParams) -> None:
             f"({exc})") from exc
 
 
+def _route_prefactors(params: ModelParams) -> tuple[float, float]:
+    """(closed, open) route prefactors a3 b1**3 and a2**2 b1**2 b2."""
+    return (params.a(3) * params.b(1) ** 3,
+            params.a(2) ** 2 * params.b(1) ** 2 * params.b(2))
+
+
 class LimitTerms(NamedTuple):
     """Closed/open route weights at one degree k."""
 
@@ -165,8 +182,7 @@ class LimitLaws:
         self.closed_law: Pmf = convolve(self.d1, self.lam3, self.k_max)
         self.open_law: Pmf = convolve(
             convolve(self.d2, self.lam2, self.k_max), self.lam2, self.k_max)
-        self.closed_prefactor = params.a(3) * params.b(1) ** 3
-        self.open_prefactor = params.a(2) ** 2 * params.b(1) ** 2 * params.b(2)
+        self.closed_prefactor, self.open_prefactor = _route_prefactors(params)
 
     def _shift(self, k: int) -> int:
         if k < 2:
@@ -206,6 +222,42 @@ def limit_terms(params: ModelParams, k: int, k_max: int = DEFAULT_K_MAX,
     return _limit_laws_cached(params, int(k_max), float(tol)).terms(k)
 
 
+def adaptive_limit_laws(params: ModelParams, k_last: int,
+                        k_cap: int = DEFAULT_K_MAX, tol: float = 1e-10) -> LimitLaws:
+    """Limit laws on the smallest adequate grid for degrees up to ``k_last``.
+
+    Starts at the smallest power of two covering twice the last shifted degree
+    ``k_last - 2`` (at least 64 entries) and doubles until both route laws
+    leave at most :data:`GRID_TAIL_RTOL` of their mass at and beyond that
+    degree off the grid, or the grid reaches ``k_cap``.  The truncated
+    convolutions make each grid entry depend on lower entries only, so the
+    point weights are those of the ``k_cap`` grid (the tests check this bit
+    for bit) and the A/B intervals only widen, by the bounded extra tail mass.
+    When the rule cannot be met the laws are the ``k_cap`` build.
+    """
+    k_cap = int(k_cap)
+    s = max(int(k_last) - 2, 0)
+    size = max(_MIN_GRID, 1 << max(2 * s - 1, 0).bit_length())
+    last_tails = None
+    while True:
+        size = min(size, k_cap)
+        laws = _limit_laws_cached(params, size, float(tol))
+        route = (laws.closed_law, laws.open_law)
+        tails = [law.tail_mass for law in route]
+        missed = [i for i, law in enumerate(route)
+                  if tails[i] > GRID_TAIL_RTOL * tail_from_pmf(law, s)[0]]
+        if size == k_cap or not missed:
+            return laws
+        # A law that misses the rule although the last doubling did not halve
+        # its tail mass is held up by count truncation and quadrature error,
+        # not by the grid: no grid below the cap meets the rule, so go
+        # straight to the cap.
+        stalled = last_tails is not None and any(
+            tails[i] > 0.5 * last_tails[i] for i in missed)
+        size = k_cap if stalled else 2 * size
+        last_tails = tails
+
+
 def coefficient_from_ratio(beta: float, ratio: float) -> float:
     """Map an open/closed weight ratio to the clustering probability
     1 / (1 + sqrt(beta) * ratio); decreasing in both arguments."""
@@ -218,15 +270,28 @@ def ratio_from_coefficient(beta: float, c: float) -> float:
     return (1.0 / c - 1.0) / math.sqrt(beta)
 
 
+def _c_from_weights(beta: float, a: float, b: float) -> float | None:
+    """c_pred from the point weights; None when neither route has mass."""
+    if a > 0.0:
+        return coefficient_from_ratio(beta, b / a)
+    return 0.0 if b > 0.0 else None
+
+
+def _C_from_tails(beta: float, A: Interval, B: Interval) -> Interval:
+    """C_pred interval from the tail-weight intervals (the extreme ratios)."""
+    lo = 0.0 if A.lo == 0.0 else coefficient_from_ratio(beta, B.hi / A.lo)
+    hi = 1.0 if A.hi == 0.0 else coefficient_from_ratio(beta, B.lo / A.hi)
+    return Interval(lo, hi)
+
+
 def predict_c(params: ModelParams, k: int, k_max: int = DEFAULT_K_MAX,
               tol: float = 1e-10) -> float:
     """Limiting clustering probability at degree exactly k."""
     a, b = _limit_laws_cached(params, int(k_max), float(tol)).point_weights(k)
-    if a == 0.0 and b == 0.0:
+    c = _c_from_weights(params.beta, a, b)
+    if c is None:
         raise ValueError(f"degree {k} carries no limit mass on either route")
-    if a == 0.0:
-        return 0.0
-    return coefficient_from_ratio(params.beta, b / a)
+    return c
 
 
 def predict_C(params: ModelParams, k: int, k_max: int = DEFAULT_K_MAX,
@@ -235,9 +300,7 @@ def predict_C(params: ModelParams, k: int, k_max: int = DEFAULT_K_MAX,
     A, B = _limit_laws_cached(params, int(k_max), float(tol)).tail_weights(k)
     if A.hi == 0.0 and B.hi == 0.0:
         raise ValueError(f"degree >= {k} carries no limit mass on either route")
-    lo = 0.0 if A.lo == 0.0 else coefficient_from_ratio(params.beta, B.hi / A.lo)
-    hi = 1.0 if A.hi == 0.0 else coefficient_from_ratio(params.beta, B.lo / A.hi)
-    return Interval(lo, hi)
+    return _C_from_tails(params.beta, A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +406,11 @@ def tail_ratio_constant(params: ModelParams) -> float:
     x, y = _pareto_pair(params)
     ca, ea = _leading(_closed_tail_terms(params))
     cb, eb = _leading(_open_tail_terms(params))
-    laws = _limit_laws_prefactors(params)
+    pa, pb = _route_prefactors(params)
     delta = delta_exponent(x.tail_index, y.tail_index)
     if abs((eb - ea) - delta) > 1e-9:
         raise AssertionError("internal regime split disagrees with the exponent formula")
-    return laws[1] * cb / (laws[0] * ca)
-
-
-def _limit_laws_prefactors(params: ModelParams) -> tuple[float, float]:
-    return (params.a(3) * params.b(1) ** 3,
-            params.a(2) ** 2 * params.b(1) ** 2 * params.b(2))
+    return pb * cb / (pa * ca)
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +439,26 @@ def theory_curve(params: ModelParams, ks, k_max: int = DEFAULT_K_MAX,
                  tol: float = 1e-10) -> list[TheoryRow]:
     """Predicted clustering rows for each k.
 
+    ``k_max`` caps the numeric grid: the laws come from
+    :func:`adaptive_limit_laws`, sized from the largest requested degree.
     Uses the numeric route while the tail intervals stay tight (width at most
     10% of the midpoint); for Pareto pairs it switches to the closed-form
     asymptotics beyond that point, where point weights (and hence c_pred) are
     no longer reported.
     """
-    laws = _limit_laws_cached(params, int(k_max), float(tol))
+    ks = sorted(int(k) for k in ks)
+    laws = adaptive_limit_laws(params, max(ks, default=2), k_max, tol)
+    return _curve_rows(laws, ks)
+
+
+def _curve_rows(laws: LimitLaws, ks: list[int]) -> list[TheoryRow]:
+    """Rows of :func:`theory_curve` for sorted degrees on the given laws."""
+    params = laws.params
     pareto = is_pareto_pair(params)
     pa, pb = laws.closed_prefactor, laws.open_prefactor
     rows: list[TheoryRow] = []
     switched = False
-    for k in sorted(int(k) for k in ks):
+    for k in ks:
         use_asym = False
         if switched and pareto:
             terms = None
@@ -415,19 +482,10 @@ def theory_curve(params: ModelParams, ks, k_max: int = DEFAULT_K_MAX,
             ta, tb = tail_weight_asymptotics(params, k - 2)
             A = Interval(pa * ta, pa * ta)
             B = Interval(pb * tb, pb * tb)
-            C = Interval(coefficient_from_ratio(params.beta, B.hi / A.lo),
-                         coefficient_from_ratio(params.beta, B.lo / A.hi))
-            rows.append(TheoryRow(k, None, None, A, B, None, C, True))
+            rows.append(TheoryRow(k, None, None, A, B, None,
+                                  _C_from_tails(params.beta, A, B), True))
         else:
-            a, b = terms.a, terms.b
-            c = None
-            if a > 0.0:
-                c = coefficient_from_ratio(params.beta, b / a)
-            elif b > 0.0:
-                c = 0.0
-            lo = 0.0 if terms.A.lo == 0.0 else coefficient_from_ratio(
-                params.beta, terms.B.hi / terms.A.lo)
-            hi = 1.0 if terms.A.hi == 0.0 else coefficient_from_ratio(
-                params.beta, terms.B.lo / terms.A.hi)
-            rows.append(TheoryRow(k, a, b, terms.A, terms.B, c, Interval(lo, hi), False))
+            rows.append(TheoryRow(k, terms.a, terms.b, terms.A, terms.B,
+                                  _c_from_weights(params.beta, terms.a, terms.b),
+                                  _C_from_tails(params.beta, terms.A, terms.B), False))
     return rows

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DomainError",
     "InfiniteMomentError",
     "WeightLaw",
     "Pareto",
@@ -33,7 +34,11 @@ __all__ = [
 ]
 
 
-class InfiniteMomentError(ValueError):
+class DomainError(ValueError):
+    """Weight laws outside the domain of a limit formula."""
+
+
+class InfiniteMomentError(DomainError):
     """Raised when a requested raw moment does not exist for the law."""
 
 

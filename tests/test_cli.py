@@ -75,6 +75,42 @@ def test_simulate_stdout_default(capsys):
     assert out.startswith("k,n_vertices,")
 
 
+def test_simulate_needs_no_theory(capsys):
+    # An infinite fourth moment puts the law outside the limit theory, not
+    # outside the simulation.
+    code, out, err = run_main(
+        ["simulate", "--n", "200", "--m", "200", "--beta", "1",
+         "--x-law", "pareto(1,3.5)", "--y-law", "pareto(1,6)"], capsys)
+    assert code == EXIT_OK and err == ""
+    assert out.startswith("k,n_vertices,")
+
+
+def test_simulate_output_dir_gets_spectrum_and_replicates(tmp_path, capsys):
+    out = tmp_path / "sim"
+    code, _, _ = run_main(
+        ["simulate", *BASE, "--replicates", "2", "--save-replicates",
+         "--output-dir", str(out)], capsys)
+    assert code == EXIT_OK
+    assert (out / "pooled_spectrum.csv").read_text().startswith("k,n_vertices,")
+    assert sorted(p.name for p in (out / "replicates").iterdir()) == [
+        "replicate_0000.csv", "replicate_0001.csv"]
+
+
+@pytest.mark.parametrize("command", ["theory", "compare"])
+@pytest.mark.parametrize("law,match", [
+    ("pareto(1,3.5)", "fourth moments"),
+    ("degenerate(0)", "offspring law undefined"),
+])
+def test_laws_outside_theory_domain_exit_one(tmp_path, capsys, command, law, match):
+    code, _, err = run_main(
+        [command, "--n", "200", "--m", "200", "--beta", "1", "--x-law", law,
+         "--y-law", "pareto(1,6)", "--k-max", "6",
+         "--output-dir", str(tmp_path / "out")], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and match in err
+    assert err.count("\n") == 1
+
+
 def test_compare_requires_output_dir(capsys):
     code, _, err = run_main(["compare", *BASE], capsys)
     assert code == EXIT_USAGE

@@ -366,3 +366,100 @@ def test_theory_curve_skips_non_pareto_beyond_grid():
     assert all(not row.asymptotic for row in rows)
     rows = th.theory_curve(params, [2, 500], k_max=128)
     assert [row.k for row in rows] == [2]
+
+
+# ---------------------------------------------------------------------------
+# Adaptive grid of theory_curve against the fixed cap grid
+# ---------------------------------------------------------------------------
+
+GRID_CAP = 1024
+
+
+@pytest.fixture(scope="module", params=[(2.0, 7.0, 6.0, 20), (1.0, 7.0, 6.0, 15)],
+                ids=["pareto(2,7)/(2,6)", "pareto(1,7)/(1,6)"])
+def adaptive_vs_cap(request):
+    # The two law pairs of the benchmark, each on a short degree window.
+    x_min, alpha, gamma, k_last = request.param
+    params = ModelParams(10000, 10000, 1.0, Pareto(x_min, alpha), Pareto(x_min, gamma))
+    ks = list(range(3, k_last + 1))
+    laws = th.adaptive_limit_laws(params, k_last, GRID_CAP)
+    adaptive = th.theory_curve(params, ks, k_max=GRID_CAP)
+    capped = th._curve_rows(LimitLaws(params, k_max=GRID_CAP), ks)
+    return laws, adaptive, capped
+
+
+def test_adaptive_grid_stays_below_cap(adaptive_vs_cap):
+    laws, adaptive, capped = adaptive_vs_cap
+    assert laws.k_max < GRID_CAP
+    assert [row.k for row in adaptive] == [row.k for row in capped]
+
+
+def test_adaptive_grid_keeps_point_predictions(adaptive_vs_cap):
+    _, adaptive, capped = adaptive_vs_cap
+    for got, ref in zip(adaptive, capped):
+        assert got.asymptotic == ref.asymptotic, got.k
+        assert got.a == ref.a and got.b == ref.b, got.k
+        assert got.c_pred == ref.c_pred, got.k
+
+
+def test_adaptive_grid_intervals_contain_cap_midpoints(adaptive_vs_cap):
+    _, adaptive, capped = adaptive_vs_cap
+    for got, ref in zip(adaptive, capped):
+        assert got.C_pred.lo <= ref.C_pred.mid <= got.C_pred.hi, got.k
+        # The grid's share of the width obeys the relative tail bound.
+        for iv, ref_iv in ((got.A, ref.A), (got.B, ref.B)):
+            assert iv.lo <= ref_iv.lo and iv.hi >= ref_iv.hi - 1e-15 * ref_iv.hi
+            assert iv.width <= ref_iv.width + 1.01 * th.GRID_TAIL_RTOL * iv.lo, got.k
+
+
+def test_adaptive_grid_falls_back_to_cap_when_last_row_is_asymptotic():
+    # Degrees past the reliable range never meet the tail rule: the doubling
+    # ends at the cap and the rows equal those of the cap grid.
+    params = pareto_params(7.0, 6.0)
+    ks = list(range(2, 40)) + [60, 100]
+    cap = 512
+    rows = th.theory_curve(params, ks, k_max=cap, tol=1e-8)
+    assert th.adaptive_limit_laws(params, ks[-1], cap, 1e-8).k_max == cap
+    assert rows[-1].asymptotic
+    assert rows == th._curve_rows(LimitLaws(params, k_max=cap, tol=1e-8), ks)
+
+
+def record_builds(monkeypatch):
+    sizes = []
+    cached = th._limit_laws_cached
+
+    def recording(params, k_max, tol):
+        sizes.append(k_max)
+        return cached(params, k_max, tol)
+
+    monkeypatch.setattr(th, "_limit_laws_cached", recording)
+    return sizes
+
+
+def test_adaptive_grid_doubles_from_the_window(monkeypatch):
+    sizes = record_builds(monkeypatch)
+    params = ModelParams(10, 10, 1.0, Degenerate(1.1), Degenerate(0.9))
+    # Point-mass laws leave no grid tail to speak of: the first grid holds.
+    assert th.adaptive_limit_laws(params, 2, 4096).k_max == 64
+    assert th.adaptive_limit_laws(params, 12, 4096).k_max == 64
+    assert th.adaptive_limit_laws(params, 12, 40).k_max == 40
+    assert sizes == [64, 64, 40]
+    sizes.clear()
+    # Pareto tails need a few doublings; the start covers 2 * (k_last - 2).
+    assert th.adaptive_limit_laws(pareto_params(7.0, 6.0), 20, 1024).k_max == 256
+    assert sizes == [64, 128, 256]
+    sizes.clear()
+    th.adaptive_limit_laws(pareto_params(7.0, 6.0), 35, 1024, 1e-6)
+    assert sizes[0] == 128
+
+
+def test_adaptive_grid_jumps_to_cap_when_tail_stalls(monkeypatch):
+    # At tol 1e-8 the route tails settle near 1e-8 from count truncation,
+    # above the rule's target at degree 24: once a doubling stops halving
+    # them, the next build is the cap.
+    sizes = record_builds(monkeypatch)
+    params = pareto_params(7.0, 6.0)
+    ks = list(range(3, 25))
+    rows = th.theory_curve(params, ks, k_max=1024, tol=1e-8)
+    assert sizes == [64, 128, 256, 1024]
+    assert rows == th._curve_rows(LimitLaws(params, k_max=1024, tol=1e-8), ks)
