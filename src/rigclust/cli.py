@@ -8,8 +8,9 @@ Subcommands:
 * ``fit-delta`` -- log-log slope of a two-column CSV within a degree window;
 * ``stats``     -- clustering spectrum of an external edge list.
 
-Exit codes: 0 success, 1 usage error or weight laws outside the theory's
-domain, 2 malformed data, 3 budget abort.
+Exit codes: 0 success (also when the reader of stdout closes it early), 1
+usage error or weight laws outside the theory's domain, 2 malformed data, 3
+budget abort.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import os
 import sys
 
 from .experiment import (
+    CONFIG_PARSERS,
     UsageError,
+    _bool,
+    _location,
     build_config,
     config_hash,
     fit_delta,
@@ -30,9 +34,10 @@ from .experiment import (
     write_replicates,
 )
 from .graphgen import EdgeBudgetError
-from .spectrum import DataFormatError, clustering_spectrum  # noqa: F401  (re-export for users)
-from .spectrum import read_edge_list, write_spectrum_csv
-from .theory import is_pareto_pair, theory_curve
+from .mixedpoisson import text_file
+from .spectrum import (DataFormatError, clustering_spectrum, read_edge_list,
+                       write_spectrum_csv)
+from .theory import pareto_delta, theory_curve
 from .weights import DomainError
 
 __all__ = ["main"]
@@ -52,26 +57,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
-    for key in ("n", "m", "replicates", "master-seed", "k-min", "k-max",
-                "pmf-k-max", "edge-budget"):
-        p.add_argument(f"--{key}", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--x-law")
-    p.add_argument("--y-law")
-    p.add_argument("--generator", choices=["reference", "fast"])
-    p.add_argument("--save-replicates", action="store_true", default=None)
-    p.add_argument("--output-dir", "-o")
+    for key, parse in CONFIG_PARSERS.items():
+        flags = ["--" + key.replace("_", "-")] + (["-o"] if parse is _location else [])
+        action = "store_true" if parse is _bool else "store"
+        p.add_argument(*flags, action=action, default=None)
 
 
 def _config_from_args(args) -> "ExperimentConfig":
     values = read_config(args.config) if args.config else {}
-    for key in ("n", "m", "beta", "x_law", "y_law", "replicates", "master_seed",
-                "k_min", "k_max", "pmf_k_max", "tol", "generator",
-                "edge_budget", "save_replicates", "output_dir"):
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            values[key] = flag_val
+    for key in CONFIG_PARSERS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     return build_config(values)
 
 
@@ -79,8 +75,7 @@ def _cmd_theory(args) -> int:
     config = _config_from_args(args)
     rows = theory_curve(config.params, range(config.k_min, config.k_max + 1),
                         config.pmf_k_max, config.tol)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with text_file(args.out or sys.stdout, "w") as out:
         out.write("k,a,b,A_lo,A_hi,B_lo,B_hi,c_pred,C_pred_lo,C_pred_hi\n")
         for r in rows:
             cells = [str(r.k)]
@@ -88,19 +83,10 @@ def _cmd_theory(args) -> int:
                       r.c_pred, r.C_pred.lo, r.C_pred.hi):
                 cells.append("" if v is None else repr(float(v)))
             out.write(",".join(cells) + "\n")
-    finally:
-        if args.out:
-            out.close()
-    if is_pareto_pair(config.params):
-        from .theory import delta_exponent
-        try:
-            d = delta_exponent(config.params.x_law.tail_index,
-                               config.params.y_law.tail_index)
-            if d < 0:
-                print(f"note: tail-weight exponent delta = {d:g} is negative "
-                      "(clustering grows with k at large degrees)", file=sys.stderr)
-        except ValueError:
-            pass
+    d = pareto_delta(config.params)
+    if d is not None and d < 0:
+        print(f"note: tail-weight exponent delta = {d:g} is negative "
+              "(clustering grows with k at large degrees)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -182,10 +168,7 @@ def _cmd_stats(args) -> int:
     if graph.n == 0:
         print(f"warning: {args.edges} contains no edges", file=sys.stderr)
     spec = clustering_spectrum(graph)
-    if args.out:
-        write_spectrum_csv(spec, args.out)
-    else:
-        write_spectrum_csv(spec, sys.stdout)
+    write_spectrum_csv(spec, args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -228,7 +211,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        # Flush here so that a reader closing stdout early is seen below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads the rest of stdout (`rigclust ... | head`): not an
+        # error.  Point stdout at devnull so the flush at shutdown stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

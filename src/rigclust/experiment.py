@@ -3,10 +3,10 @@
 A flat ``key=value`` config describes one experiment: model parameters (the
 weight laws use a small grammar, e.g. ``pareto(1,6)``), replicate count,
 master seed, the degree window to report, and numeric knobs.  Running it
-simulates the replicates (each from a seed derived purely from the master
-seed and the replicate index), pools their clustering spectra by summing
-counts, builds the theory curve on the same degree window, fits the tail
-exponent on the empirical curve, and writes a report:
+builds the theory curve on that degree window, simulates the replicates (each
+from a seed derived purely from the master seed and the replicate index),
+pools their clustering spectra by summing counts, fits the tail exponent on
+the empirical curve, and writes a report:
 
 * ``report.csv``  -- per-degree empirical and predicted clustering values;
 * ``report.json`` -- config echo, config hash, library versions, fit results;
@@ -28,7 +28,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -40,11 +40,11 @@ from .graphgen import (
     project,
     sample_bipartite,
 )
+from .mixedpoisson import DEFAULT_K_MAX
 from .spectrum import ClusteringSpectrum, clustering_spectrum, pool, write_spectrum_csv
 from .theory import (
     ModelParams,
-    delta_exponent,
-    is_pareto_pair,
+    pareto_delta,
     ratio_from_coefficient,
     theory_curve,
 )
@@ -53,6 +53,8 @@ from .weights import Degenerate, Finite, Pareto, WeightLaw
 __all__ = [
     "UsageError",
     "ExperimentConfig",
+    "CONFIG_PARSERS",
+    "REPORT_COLUMNS",
     "ComparisonReport",
     "FitResult",
     "parse_law",
@@ -135,7 +137,7 @@ class ExperimentConfig:
     k_max: int = 50
     #: Cap on the theory grid; the grid itself is sized from ``k_max`` (see
     #: :func:`rigclust.theory.adaptive_limit_laws`).
-    pmf_k_max: int = 4096
+    pmf_k_max: int = DEFAULT_K_MAX
     tol: float = 1e-10
     generator: str = "fast"
     edge_budget: int = DEFAULT_EDGE_BUDGET
@@ -153,18 +155,55 @@ class ExperimentConfig:
             raise UsageError("simulation needs n, m >= 3")
 
 
-_CONFIG_KEYS = {
-    "n", "m", "beta", "x_law", "y_law", "replicates", "master_seed",
-    "k_min", "k_max", "pmf_k_max", "tol", "generator", "edge_budget",
-    "save_replicates", "output_dir",
+def _int(key, v):
+    try:
+        return int(v)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config key {key}={v!r} is not an integer") from exc
+
+
+def _float(key, v):
+    try:
+        return float(v)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config key {key}={v!r} is not a number") from exc
+
+
+def _law(key, v):
+    return v if isinstance(v, WeightLaw) else parse_law(str(v))
+
+
+def _bool(key, v):
+    if isinstance(v, bool):
+        return v
+    s = str(v).strip().lower()
+    if s in ("1", "true", "yes", "on"):
+        return True
+    if s in ("0", "false", "no", "off"):
+        return False
+    raise UsageError(f"config key {key}={v!r} is not a boolean")
+
+
+def _text(key, v):
+    return str(v)
+
+
+def _location(key, v):
+    """Where results go: not part of the experiment's identity."""
+    return None if v == "" else str(v)
+
+
+#: Every config key with the parser of its value, in command-line flag order.
+#: The :class:`ModelParams` keys are required; every other key defaults to the
+#: :class:`ExperimentConfig` field of the same name.
+CONFIG_PARSERS = {
+    "n": _int, "m": _int, "replicates": _int, "master_seed": _int,
+    "k_min": _int, "k_max": _int, "pmf_k_max": _int, "edge_budget": _int,
+    "beta": _float, "tol": _float, "x_law": _law, "y_law": _law,
+    "generator": _text, "save_replicates": _bool, "output_dir": _location,
 }
 
-_DEFAULTS = {
-    "beta": None, "replicates": 1, "master_seed": 0, "k_min": 2, "k_max": 50,
-    "pmf_k_max": 4096, "tol": 1e-10, "generator": "fast",
-    "edge_budget": DEFAULT_EDGE_BUDGET, "save_replicates": False,
-    "output_dir": None,
-}
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 
 
 def read_config(path: str) -> dict:
@@ -179,7 +218,7 @@ def read_config(path: str) -> dict:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
                 key, val = (s.strip() for s in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
+                if key not in CONFIG_PARSERS:
                     raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = val
     except OSError as exc:
@@ -189,76 +228,32 @@ def read_config(path: str) -> dict:
 
 def build_config(values: dict) -> ExperimentConfig:
     """Build a validated config from string-or-typed values."""
-    vals = dict(values)
-    for required in ("n", "m", "beta", "x_law", "y_law"):
-        if vals.get(required) is None:
-            raise UsageError(f"missing required config key {required!r}")
-
-    def _int(key):
-        v = vals[key]
-        try:
-            return int(v)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"config key {key}={v!r} is not an integer") from exc
-
-    def _float(key):
-        v = vals[key]
-        try:
-            return float(v)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"config key {key}={v!r} is not a number") from exc
-
-    def _law(key):
-        v = vals[key]
-        return v if isinstance(v, WeightLaw) else parse_law(str(v))
-
-    def _bool(key):
-        v = vals[key]
-        if isinstance(v, bool):
-            return v
-        s = str(v).strip().lower()
-        if s in ("1", "true", "yes", "on"):
-            return True
-        if s in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config key {key}={v!r} is not a boolean")
-
-    for key, default in _DEFAULTS.items():
-        vals.setdefault(key, default)
+    for key in _PARAM_KEYS:
+        if values.get(key) is None:
+            raise UsageError(f"missing required config key {key!r}")
+    parsed = {key: parse(key, values[key]) for key, parse in CONFIG_PARSERS.items()
+              if values.get(key) is not None}
     try:
-        params = ModelParams(_int("n"), _int("m"), _float("beta"),
-                             _law("x_law"), _law("y_law"))
+        params = ModelParams(**{key: parsed.pop(key) for key in _PARAM_KEYS})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out_dir = vals["output_dir"]
-    return ExperimentConfig(
-        params=params,
-        replicates=_int("replicates"),
-        master_seed=_int("master_seed"),
-        k_min=_int("k_min"),
-        k_max=_int("k_max"),
-        pmf_k_max=_int("pmf_k_max"),
-        tol=_float("tol"),
-        generator=str(vals["generator"]),
-        edge_budget=_int("edge_budget"),
-        save_replicates=_bool("save_replicates"),
-        output_dir=None if out_dir in (None, "") else str(out_dir),
-    )
+    return ExperimentConfig(params, **parsed)
+
+
+def _identity(config: ExperimentConfig) -> dict[str, str]:
+    """Text of every config value except the output location."""
+    items = {}
+    for key, parse in CONFIG_PARSERS.items():
+        if parse is _location:
+            continue
+        v = getattr(config.params if key in _PARAM_KEYS else config, key)
+        items[key] = law_to_str(v) if isinstance(v, WeightLaw) else str(v)
+    return items
 
 
 def canonical_config_text(config: ExperimentConfig) -> str:
     """Stable text form of the experiment identity (location keys excluded)."""
-    p = config.params
-    items = {
-        "n": p.n, "m": p.m, "beta": repr(p.beta),
-        "x_law": law_to_str(p.x_law), "y_law": law_to_str(p.y_law),
-        "replicates": config.replicates, "master_seed": config.master_seed,
-        "k_min": config.k_min, "k_max": config.k_max,
-        "pmf_k_max": config.pmf_k_max, "tol": repr(config.tol),
-        "generator": config.generator, "edge_budget": config.edge_budget,
-        "save_replicates": config.save_replicates,
-    }
-    return "".join(f"{k}={items[k]}\n" for k in sorted(items))
+    return "".join(f"{k}={v}\n" for k, v in sorted(_identity(config).items()))
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -342,6 +337,11 @@ def _run_replicates(config: ExperimentConfig, workers: int):
         return list(pool_.map(_one_replicate, [config] * config.replicates, indices))
 
 
+#: Columns of ``report.csv``, and the keys of each row of a report.
+REPORT_COLUMNS = ("k", "n_vertices", "c_hat", "c_se", "C_hat", "C_se", "c_pred",
+                  "C_pred_lo", "C_pred_hi", "c_gap", "C_gap")
+
+
 @dataclass
 class ComparisonReport:
     """Everything the compare pipeline produces, ready to serialise."""
@@ -366,9 +366,7 @@ class ComparisonReport:
     def to_json_dict(self) -> dict:
         cfg = self.config
         return {
-            "config": {k: v for k, v in
-                       (line.split("=", 1) for line in
-                        canonical_config_text(cfg).strip().split("\n"))},
+            "config": _identity(cfg),
             "config_hash": self.hash,
             "package_version": __version__,
             "numpy_version": np.__version__,
@@ -390,12 +388,9 @@ class ComparisonReport:
     def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as f:
-            f.write("k,n_vertices,c_hat,c_se,C_hat,C_se,c_pred,"
-                    "C_pred_lo,C_pred_hi,c_gap,C_gap\n")
+            f.write(",".join(REPORT_COLUMNS) + "\n")
             for row in self.rows:
-                f.write(",".join(_csv_cell(row[name]) for name in (
-                    "k", "n_vertices", "c_hat", "c_se", "C_hat", "C_se",
-                    "c_pred", "C_pred_lo", "C_pred_hi", "c_gap", "C_gap")) + "\n")
+                f.write(",".join(_csv_cell(row[name]) for name in REPORT_COLUMNS) + "\n")
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
             json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
@@ -459,29 +454,30 @@ def write_replicates(spectra: list, out_dir: str) -> None:
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> ComparisonReport:
-    """Simulate, pool, predict, and fit; see the module docstring."""
+    """Predict, simulate, pool, and fit; see the module docstring."""
     t0 = time.monotonic()
-    pooled, spectra, failed = simulate(config, workers)
-    good = [s for s in spectra if s is not None]
-
     ks = list(range(config.k_min, config.k_max + 1))
+    # The theory comes first so that laws outside its domain fail before any
+    # replicate is sampled.
     curve = {row.k: row for row in theory_curve(
         config.params, ks, config.pmf_k_max, config.tol)}
+
+    pooled, spectra, failed = simulate(config, workers)
+    good = [s for s in spectra if s is not None]
 
     rows = []
     for k in ks:
         c_hat = pooled.c_at(k)
         C_hat = pooled.C_at(k)
-        row = {
-            "k": k,
-            "n_vertices": int(pooled.n_vertices[k]) if k <= pooled.max_degree else 0,
-            "c_hat": c_hat,
-            "c_se": _se([s.c_at(k) for s in good]),
-            "C_hat": C_hat,
-            "C_se": _se([s.C_at(k) for s in good]),
-            "c_pred": None, "C_pred_lo": None, "C_pred_hi": None,
-            "c_gap": None, "C_gap": None,
-        }
+        row = dict.fromkeys(REPORT_COLUMNS)
+        row.update(
+            k=k,
+            n_vertices=int(pooled.n_vertices[k]) if k <= pooled.max_degree else 0,
+            c_hat=c_hat,
+            c_se=_se([s.c_at(k) for s in good]),
+            C_hat=C_hat,
+            C_se=_se([s.C_at(k) for s in good]),
+        )
         trow = curve.get(k)
         if trow is not None:
             row["c_pred"] = trow.c_pred
@@ -510,15 +506,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> ComparisonReport:
             delta_fit = None
             window = None
 
-    delta_theory = None
-    delta_negative = False
-    if is_pareto_pair(config.params):
-        try:
-            delta_theory = delta_exponent(config.params.x_law.tail_index,
-                                          config.params.y_law.tail_index)
-            delta_negative = delta_theory < 0
-        except ValueError:
-            delta_theory = None
+    delta_theory = pareto_delta(config.params)
+    delta_negative = delta_theory is not None and delta_theory < 0
 
     report = ComparisonReport(
         config=config, rows=rows, pooled=pooled, spectra=spectra, failed=failed,

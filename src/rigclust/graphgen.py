@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .mixedpoisson import text_file
 from .theory import ModelParams
 
 __all__ = [
@@ -272,11 +273,6 @@ def project(sample: BipartiteSample,
 
 def write_edge_list(g: ProjectedGraph, file) -> None:
     """Whitespace-separated 'u v' lines, 0-based ids, one edge each."""
-    own = isinstance(file, str)
-    f = open(file, "w", encoding="utf-8") if own else file
-    try:
+    with text_file(file, "w") as f:
         eu, ev = g.edge_array()
         f.writelines(f"{a} {b}\n" for a, b in zip(eu.tolist(), ev.tolist()))
-    finally:
-        if own:
-            f.close()

@@ -32,7 +32,7 @@ partition work.
 
 from __future__ import annotations
 
-import io
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -53,6 +53,7 @@ __all__ = [
     "pmf_mixed_poisson",
     "pmf_offspring",
     "sample_biased",
+    "text_file",
 ]
 
 #: Tolerance on |sum(mass) + tail_mass - 1| accepted by Pmf.validate.
@@ -66,6 +67,15 @@ GRID_CAP = 1 << 20
 
 #: Grid extension stops once no more than this much mass is beyond the grid.
 EXTEND_TARGET = 1e-8
+
+
+def text_file(file, mode: str):
+    """Context manager for a path or an open text file: a path is opened as
+    UTF-8 in ``mode`` and closed on exit; an open file is used as it is and
+    left open."""
+    if isinstance(file, str):
+        return open(file, mode, encoding="utf-8")
+    return contextlib.nullcontext(file)
 
 
 class QuadratureError(RuntimeError):
@@ -129,26 +139,16 @@ class Pmf:
 
     def to_csv(self, file) -> None:
         """Write rows ``s,mass`` plus a trailing ``tail_mass`` record."""
-        own = isinstance(file, str)
-        f = open(file, "w", encoding="utf-8") if own else file
-        try:
+        with text_file(file, "w") as f:
             f.write("s,mass\n")
             for s, p in enumerate(self.mass):
                 f.write(f"{s},{float(p)!r}\n")
             f.write(f"tail_mass,{float(self.tail_mass)!r}\n")
-        finally:
-            if own:
-                f.close()
 
     @classmethod
     def from_csv(cls, file) -> "Pmf":
-        own = isinstance(file, str)
-        f = open(file, "r", encoding="utf-8") if own else file
-        try:
+        with text_file(file, "r") as f:
             lines = [ln.strip() for ln in f if ln.strip()]
-        finally:
-            if own:
-                f.close()
         if not lines or lines[0] != "s,mass":
             raise ValueError("expected header 's,mass'")
         tail = 0.0

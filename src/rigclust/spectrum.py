@@ -19,13 +19,13 @@ oriented edge's endpoints, and all three corners are credited.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .graphgen import ProjectedGraph, graph_from_edges
+from .mixedpoisson import text_file
 
 __all__ = [
     "DataFormatError",
@@ -149,10 +149,8 @@ def read_edge_list(file) -> ProjectedGraph:
     if smaller than some mentioned id.  Self-loops are dropped: they carry no
     cherry or triangle information.
     """
-    own = isinstance(file, str)
-    f = open(file, "r", encoding="utf-8") if own else file
     us, vs = [], []
-    try:
+    with text_file(file, "r") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -170,9 +168,6 @@ def read_edge_list(file) -> ProjectedGraph:
                 raise DataFormatError(f"line {lineno}: negative vertex id in {raw!r}")
             us.append(a)
             vs.append(b)
-    finally:
-        if own:
-            f.close()
     if not us:
         return graph_from_edges(0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     u = np.array(us, dtype=np.int64)
@@ -187,9 +182,7 @@ def write_spectrum_csv(spectrum: ClusteringSpectrum, file) -> None:
     field is left empty when degree k itself anchors no cherries (the
     conditioning event is empty there, not zero).
     """
-    own = isinstance(file, str)
-    f = open(file, "w", encoding="utf-8") if own else file
-    try:
+    with text_file(file, "w") as f:
         f.write("k,n_vertices,tri_sum,cherry_sum,c_k,cum_tri,cum_cherry,C_k\n")
         for k in range(spectrum.max_degree + 1):
             if spectrum.cum_cherry[k] == 0:
@@ -206,6 +199,3 @@ def write_spectrum_csv(spectrum: ClusteringSpectrum, file) -> None:
                 str(int(spectrum.cum_cherry[k])),
                 "" if C is None else repr(C),
             ]) + "\n")
-    finally:
-        if own:
-            f.close()

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .mixedpoisson import (
     DEFAULT_K_MAX,
     Pmf,
@@ -67,6 +65,7 @@ __all__ = [
     "tail_weight_asymptotics",
     "tail_ratio_constant",
     "is_pareto_pair",
+    "pareto_delta",
 ]
 
 _TIE_RTOL = 1e-9
@@ -322,6 +321,17 @@ def delta_exponent(alpha: float, gamma: float) -> float:
     if alpha <= 5 or gamma <= 5:
         raise ValueError("exponent formula assumes both tail indices exceed 5")
     return min(max(alpha - gamma - 1.0, -1.0), 1.0)
+
+
+def pareto_delta(params: ModelParams) -> float | None:
+    """:func:`delta_exponent` of a Pareto pair whose tail indices both exceed
+    5; None for any other pair of laws."""
+    if not is_pareto_pair(params):
+        return None
+    try:
+        return delta_exponent(params.x_law.tail_index, params.y_law.tail_index)
+    except ValueError:
+        return None
 
 
 def _degree_tail_constant(params: ModelParams, r: int) -> tuple[float, float]:

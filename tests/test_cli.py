@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
-from rigclust.cli import EXIT_BUDGET, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from rigclust.cli import (
+    EXIT_BUDGET,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    _build_parser,
+    _config_from_args,
+    main,
+)
+from rigclust.experiment import CONFIG_PARSERS
 
 
 BASE = ["--n", "200", "--m", "200", "--beta", "1",
@@ -109,6 +118,18 @@ def test_laws_outside_theory_domain_exit_one(tmp_path, capsys, command, law, mat
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and match in err
     assert err.count("\n") == 1
+
+
+def test_compare_checks_theory_domain_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("compare sampled a replicate")
+
+    monkeypatch.setattr("rigclust.experiment.sample_bipartite", no_sampling)
+    code, _, err = run_main(
+        ["compare", "--n", "200", "--m", "200", "--beta", "1",
+         "--x-law", "pareto(1,3.5)", "--y-law", "pareto(1,6)",
+         "--output-dir", str(tmp_path / "out")], capsys)
+    assert code == EXIT_USAGE and "fourth moments" in err
 
 
 def test_compare_requires_output_dir(capsys):
@@ -221,6 +242,51 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run_main(
         ["theory", "--config", "/nonexistent/exp.cfg"], capsys)
     assert code == EXIT_USAGE and "cannot read config" in err
+
+
+#: A value other than the default for every config key; None marks a switch.
+FLAG_SAMPLES = {
+    "n": "150", "m": "160", "replicates": "3", "master_seed": "7",
+    "k_min": "3", "k_max": "9", "pmf_k_max": "512", "edge_budget": "1000",
+    "beta": "0.5", "tol": "1e-9", "x_law": "pareto(1.5,7)",
+    "y_law": "degenerate(2)", "generator": "reference",
+    "save_replicates": None, "output_dir": "results",
+}
+
+
+@pytest.mark.parametrize("key", list(CONFIG_PARSERS))
+def test_flag_and_config_file_set_keys_alike(tmp_path, key):
+    base = tmp_path / "base.cfg"
+    base.write_text("n = 200\nm = 200\nbeta = 1\n"
+                    "x_law = pareto(1,7)\ny_law = pareto(1,6)\n")
+    value = FLAG_SAMPLES[key]
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(base.read_text()
+                     + f"{key} = {'true' if value is None else value}\n")
+    flag = ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+
+    def config(*argv):
+        return _config_from_args(_build_parser().parse_args(["theory", *argv]))
+
+    by_flag = config("--config", str(base), *flag)
+    assert by_flag == config("--config", str(keyed))
+    assert by_flag != config("--config", str(base))
+
+
+def test_bad_flag_value_gets_config_message(capsys):
+    code, _, err = run_main(["theory", *BASE, "--n", "ten"], capsys)
+    assert code == EXIT_USAGE
+    assert err == "error: config key n='ten' is not an integer\n"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rigclust", "theory", *BASE, "--k-max", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert err == b""
 
 
 def test_module_entry_point(tmp_path):

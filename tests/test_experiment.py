@@ -159,6 +159,30 @@ def test_config_hash_is_sha256_of_canonical_text():
     assert keys == sorted(keys)
 
 
+def test_canonical_text_and_hash_are_pinned():
+    # Reports and their config hashes are compared across versions: the text
+    # form of a config must not drift.
+    cfg = build_config(config_values())
+    assert canonical_config_text(cfg) == (
+        "beta=1.0\n"
+        "edge_budget=134217728\n"
+        "generator=fast\n"
+        "k_max=50\n"
+        "k_min=2\n"
+        "m=200\n"
+        "master_seed=0\n"
+        "n=200\n"
+        "pmf_k_max=4096\n"
+        "replicates=1\n"
+        "save_replicates=False\n"
+        "tol=1e-10\n"
+        "x_law=pareto(1.0,7.0)\n"
+        "y_law=pareto(1.0,6.0)\n"
+    )
+    assert config_hash(cfg) == (
+        "33417356cfd120061f9eedf424b9f5553275f5087de0a22188a4d1375d8986db")
+
+
 def test_replicate_seeds_distinct_and_deterministic():
     seeds = [replicate_seed(12345, i) for i in range(1000)]
     assert len(set(seeds)) == 1000
