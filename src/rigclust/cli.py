@@ -9,8 +9,9 @@ Subcommands:
 * ``stats``     -- clustering spectrum of an external edge list.
 
 Exit codes: 0 success (also when the reader of stdout closes it early), 1
-usage error or weight laws outside the theory's domain, 2 malformed data, 3
-budget abort.
+usage error (including a ``tol`` outside (0, 1)), weight laws outside the
+theory's domain, or a quadrature that cannot reach ``tol``, 2 malformed data,
+3 budget abort.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .experiment import (
     write_replicates,
 )
 from .graphgen import EdgeBudgetError
-from .mixedpoisson import text_file
+from .mixedpoisson import QuadratureError, text_file
 from .spectrum import (DataFormatError, clustering_spectrum, read_edge_list,
                        write_spectrum_csv)
 from .theory import pareto_delta, theory_curve
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
         # error.  Point stdout at devnull so the flush at shutdown stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataFormatError as exc:

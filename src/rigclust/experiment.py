@@ -153,6 +153,8 @@ class ExperimentConfig:
             raise UsageError(f"generator must be reference|fast, got {self.generator!r}")
         if self.params.n < 3 or self.params.m < 3:
             raise UsageError("simulation needs n, m >= 3")
+        if not 0.0 < self.tol < 1.0:  # also rejects nan
+            raise UsageError(f"tol must be in (0, 1), got {self.tol!r}")
 
 
 def _int(key, v):

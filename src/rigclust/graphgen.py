@@ -7,10 +7,15 @@ An attribute i and an actor j link independently with probability
   for attribute i from a Philox stream keyed by (seed, i).  Counter-based
   streams make the scan embarrassingly parallel *and* reproducible: the
   output depends only on (params, seed), never on how rows are scheduled.
-* ``fast`` -- per attribute, actors are pre-bucketed by weight; inside a
-  bucket candidate positions are drawn by geometric skipping at the bucket's
-  maximum link probability and kept with probability p_ij / p_max.  Expected
-  work is proportional to the number of links rather than n * m.  The law of
+* ``fast`` -- block sampling: attributes and actors are each split into
+  weight classes spanning a factor of 2, and every (attribute class, actor
+  class) block is drawn from one Philox stream keyed by (seed, block id).
+  Inside a block, candidate pairs are found by geometric skipping over the
+  flattened block at the block's maximum link probability p_max and kept
+  with probability p_ij / p_max (at least 1/4).  Blocks are walked in
+  attribute-row chunks of about ``_CHUNK_CANDIDATES`` expected candidates,
+  which bounds the temporaries.  Expected work is proportional to the
+  number of links plus the number of blocks rather than n * m.  The law of
   the output is identical to the reference generator (chi-square checked in
   the test suite), though the streams differ.
 
@@ -48,6 +53,11 @@ _STREAM_X = 1 << 60
 _STREAM_Y = 2 << 60
 _STREAM_REF = 3 << 60
 _STREAM_FAST = 4 << 60
+
+#: Expected candidates drawn per attribute-row chunk of the fast sampler.  It
+#: bounds the sampler's temporaries (a dozen arrays of this length); smaller
+#: chunks only add Python iterations.
+_CHUNK_CANDIDATES = 1 << 14
 
 
 class EdgeBudgetError(RuntimeError):
@@ -98,20 +108,29 @@ def _links_reference(x: np.ndarray, y: np.ndarray, seed: int) -> list[np.ndarray
 
 
 def _weight_buckets(t_sorted: np.ndarray) -> list[tuple[int, int, float]]:
-    """(start, end, cap) ranges over the descending per-actor factors, each
-    spanning at most a factor of 2 so the accept ratio stays >= 1/2."""
+    """(start, end, cap) ranges over descending weights, each spanning at
+    most a factor of 2 so a block's accept ratio stays >= 1/4; weights <= 0
+    are left out."""
     buckets = []
     start = 0
     n = t_sorted.size
     while start < n:
         cap = t_sorted[start]
         if cap <= 0.0:
-            break  # remaining actors can never link
+            break  # the remaining weights can never link
         end = int(np.searchsorted(-t_sorted, -cap / 2.0, side="left"))
         end = max(end, start + 1)
         buckets.append((start, end, float(cap)))
         start = end
     return buckets
+
+
+def _sorted_buckets(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Ids by descending weight, their weights, and the
+    :func:`_weight_buckets` ranges over them."""
+    order = np.argsort(-w, kind="stable")
+    w_sorted = w[order]
+    return order, w_sorted, _weight_buckets(w_sorted)
 
 
 def _bucket_candidates(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
@@ -120,11 +139,15 @@ def _bucket_candidates(rng: np.random.Generator, size: int, p: float) -> np.ndar
         return np.arange(size, dtype=np.int64)
     out = []
     pos = -1
-    expect = int(size * p) + 1
     while True:
-        batch = max(16, expect - len(out)) + 8
-        gaps = rng.geometric(p, size=batch)
-        positions = pos + np.cumsum(gaps)
+        # Mean count of the successes left plus four standard deviations, so
+        # one batch almost always passes the end without many spare draws.
+        expect = (size - 1 - pos) * p
+        gaps = rng.geometric(p, size=int(expect + 4.0 * math.sqrt(expect)) + 16)
+        # A gap of size + 1 already passes the end from any pos >= -1; the
+        # clip keeps the cumsum from wrapping when p is tiny (numpy returns
+        # gaps near 2**63 for p below about 1e-18).
+        positions = pos + np.cumsum(np.minimum(gaps, size + 1))
         cut = int(np.searchsorted(positions, size, side="left"))
         out.append(positions[:cut])
         if cut < positions.size:
@@ -135,34 +158,31 @@ def _bucket_candidates(rng: np.random.Generator, size: int, p: float) -> np.ndar
 def _links_fast(x: np.ndarray, y: np.ndarray, seed: int) -> list[np.ndarray]:
     n, m = y.size, x.size
     root = 1.0 / math.sqrt(n * m)
-    t = y * root
-    order = np.argsort(-t, kind="stable")
-    t_sorted = t[order]
-    buckets = _weight_buckets(t_sorted)
-
-    links = []
-    for i in range(m):
-        rng = _stream(seed, _STREAM_FAST | i)
-        xi = float(x[i])
-        if xi <= 0.0:
-            links.append(np.empty(0, dtype=np.int64))
-            continue
-        hits = []
-        for start, end, cap in buckets:
-            p_max = min(1.0, xi * cap)
-            cand = _bucket_candidates(rng, end - start, p_max)
-            if cand.size == 0:
-                continue
-            p_cand = np.minimum(1.0, xi * t_sorted[start + cand])
-            keep = rng.random(cand.size) < (p_cand / p_max)
-            if np.any(keep):
-                hits.append(order[start + cand[keep]])
-        if hits:
-            ids = np.concatenate(hits)
-            ids.sort()
-            links.append(ids.astype(np.int64))
-        else:
-            links.append(np.empty(0, dtype=np.int64))
+    x_order, x_sorted, x_buckets = _sorted_buckets(x)
+    y_order, t_sorted, t_buckets = _sorted_buckets(y * root)
+    links = [np.empty(0, dtype=np.int64)] * m
+    if not t_buckets:
+        return links  # every actor weight is zero
+    for a, (row_start, row_end, x_cap) in enumerate(x_buckets):
+        blocks = [(_stream(seed, _STREAM_FAST | (a * len(t_buckets) + b)),
+                   start, end - start, min(1.0, x_cap * t_cap))
+                  for b, (start, end, t_cap) in enumerate(t_buckets)]
+        per_row = sum(width * p_max for _, _, width, p_max in blocks)
+        step = max(1, int(min(row_end - row_start, _CHUNK_CANDIDATES / per_row)))
+        for lo in range(row_start, row_end, step):
+            rows = min(step, row_end - lo)
+            keys = []
+            for rng, start, width, p_max in blocks:
+                cand = _bucket_candidates(rng, rows * width, p_max)
+                r, c = cand // width, start + cand % width
+                p = np.minimum(1.0, x_sorted[lo + r] * t_sorted[c])
+                keep = rng.random(cand.size) < p / p_max
+                keys.append(r[keep] * n + y_order[c[keep]])
+            keys = np.sort(np.concatenate(keys))
+            ids = keys % n
+            ends = np.searchsorted(keys, np.arange(1, rows + 1) * n).tolist()
+            for i, s, e in zip(x_order[lo:lo + rows].tolist(), [0] + ends, ends):
+                links[i] = ids[s:e]
     return links
 
 

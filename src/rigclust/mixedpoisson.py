@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -70,10 +71,10 @@ EXTEND_TARGET = 1e-8
 
 
 def text_file(file, mode: str):
-    """Context manager for a path or an open text file: a path is opened as
-    UTF-8 in ``mode`` and closed on exit; an open file is used as it is and
-    left open."""
-    if isinstance(file, str):
+    """Context manager for a path or an open text file: a path (``str`` or
+    ``os.PathLike``) is opened as UTF-8 in ``mode`` and closed on exit; an
+    open file is used as it is and left open."""
+    if isinstance(file, (str, os.PathLike)):
         return open(file, mode, encoding="utf-8")
     return contextlib.nullcontext(file)
 

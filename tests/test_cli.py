@@ -16,6 +16,7 @@ from rigclust.cli import (
     main,
 )
 from rigclust.experiment import CONFIG_PARSERS
+from rigclust.mixedpoisson import QuadratureError
 
 
 BASE = ["--n", "200", "--m", "200", "--beta", "1",
@@ -130,6 +131,25 @@ def test_compare_checks_theory_domain_before_sampling(tmp_path, capsys, monkeypa
          "--x-law", "pareto(1,3.5)", "--y-law", "pareto(1,6)",
          "--output-dir", str(tmp_path / "out")], capsys)
     assert code == EXIT_USAGE and "fourth moments" in err
+
+
+def test_quadrature_failure_exit_one(capsys, monkeypatch):
+    def failing_curve(*args, **kwargs):
+        raise QuadratureError("panel refinement stalled at 3e-18 > tol 1e-20", 3e-18)
+
+    monkeypatch.setattr("rigclust.cli.theory_curve", failing_curve)
+    code, out, err = run_main(["theory", *BASE, "--tol", "1e-20"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "stalled" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1"])
+def test_tol_outside_unit_interval_exit_one(capsys, tol):
+    code, _, err = run_main(["theory", *BASE, f"--tol={tol}"], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: tol must be in (0, 1)")
+    assert err.count("\n") == 1
 
 
 def test_compare_requires_output_dir(capsys):

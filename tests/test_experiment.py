@@ -119,6 +119,7 @@ def test_build_config_accepts_law_objects():
     {"n": "ten"}, {"beta": "wide"}, {"replicates": "0"},
     {"save_replicates": "maybe"}, {"k_min": "1"}, {"k_min": "9", "k_max": "5"},
     {"generator": "magic"}, {"n": "2"},
+    {"tol": "0"}, {"tol": "-1"}, {"tol": "nan"}, {"tol": "inf"}, {"tol": "1"},
 ])
 def test_build_config_rejects_bad_values(overrides):
     with pytest.raises(UsageError):

@@ -70,12 +70,18 @@ def test_links_sorted_int64():
 
 
 def test_probability_clamp_links_everything():
-    # x0 * y0 / sqrt(nm) = 25/4 > 1: every pair must link.
-    params = ModelParams(4, 4, 1.0, Degenerate(5.0), Degenerate(5.0))
-    for generator in ("reference", "fast"):
-        s = sample_bipartite(params, 11, generator)
-        for row in s.links:
-            assert np.array_equal(row, np.arange(4))
+    # w * w / sqrt(nm) > 1: every pair must link.  At n = m = 400 the block
+    # holds more pairs than one chunk of the fast sampler may draw, so it is
+    # split into several row chunks.
+    assert 400 * 400 > gg._CHUNK_CANDIDATES
+    for n, w in ((4, 5.0), (400, 50.0)):
+        params = ModelParams(n, n, 1.0, Degenerate(w), Degenerate(w))
+        for generator in ("reference", "fast"):
+            s = sample_bipartite(params, 11, generator)
+            assert len(s.links) == n
+            for row in s.links:
+                assert row.dtype == np.int64
+                assert np.array_equal(row, np.arange(n))
 
 
 def test_unknown_generator_rejected():
@@ -155,6 +161,16 @@ def test_bucket_candidates_full_at_probability_one():
     assert np.array_equal(gg._bucket_candidates(rng, 10, 1.5), np.arange(10))
 
 
+def test_bucket_candidates_at_vanishing_probability():
+    # Geometric gaps near 2**63 must not wrap around into the block.
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        for p in (1e-18, 1e-300):
+            assert gg._bucket_candidates(rng, 10, p).size == 0
+    links = gg._links_fast(np.full(3, 1e-150), np.full(4, 1e-150), seed=1)
+    assert [row.size for row in links] == [0, 0, 0]
+
+
 def test_bucket_candidates_are_iid_bernoulli():
     # Geometric gaps must reproduce iid Bernoulli(p) positions: the count in
     # each cell is Binomial(R, p) and the cells are independent, so the
@@ -171,9 +187,58 @@ def test_bucket_candidates_are_iid_bernoulli():
     assert chi2.sf(stat, df=size) > 1e-3
 
 
+def assert_link_rows(links, n, m):
+    assert len(links) == m
+    for row in links:
+        assert row.dtype == np.int64
+        assert np.all(np.diff(row) > 0)  # sorted and unique
+        assert row.size == 0 or (0 <= row[0] and row[-1] < n)
+
+
+def test_fast_links_match_pair_probabilities_exactly(monkeypatch):
+    # Fixed weights spanning several classes on both sides (and some pairs
+    # clamped at p = 1): over S seeds each pair's count is Binomial(S, p_ij),
+    # independently, so the standardised sum of squares is chi-square.  The
+    # small chunk cap splits the larger attribute classes into row chunks.
+    monkeypatch.setattr(gg, "_CHUNK_CANDIDATES", 100)
+    n = m = 30
+    rng = np.random.default_rng(8)
+    x = 1.0 + rng.pareto(2.5, size=m) * 3.0
+    y = 1.0 + rng.pareto(2.5, size=n) * 3.0
+    p = np.minimum(1.0, np.outer(x, y) / math.sqrt(n * m))
+    assert p.max() == 1.0 and p.min() < 0.1
+    n_seeds = 4000
+    row_offsets = np.arange(m) * n
+    counts = np.zeros(n * m, dtype=np.int64)
+    for seed in range(n_seeds):
+        links = gg._links_fast(x, y, seed)
+        if seed < 50:
+            assert_link_rows(links, n, m)
+        sizes = [row.size for row in links]
+        counts += np.bincount(np.concatenate(links) + np.repeat(row_offsets, sizes),
+                              minlength=n * m)
+    counts = counts.reshape(m, n)
+    full = p == 1.0
+    assert np.all(counts[full] == n_seeds)
+    q = p[~full]
+    stat = float(np.sum((counts[~full] - n_seeds * q) ** 2 / (n_seeds * q * (1 - q))))
+    assert chi2.sf(stat, df=q.size) > 1e-3
+
+
 def test_fast_generator_skips_nonpositive_weight():
-    links = gg._links_fast(np.array([0.0, 2.0]), np.ones(3), seed=5)
-    assert links[0].size == 0
+    # Zero-weight attributes and zero-weight actors never link, also when
+    # every actor or every attribute weighs zero.
+    x = np.array([0.0, 30.0, 0.0, 5.0, 30.0])
+    y = np.array([30.0, 0.0, 7.0, 0.0, 30.0, 0.0])
+    for seed in range(20):
+        links = gg._links_fast(x, y, seed)
+        assert_link_rows(links, y.size, x.size)
+        assert links[0].size == 0 and links[2].size == 0
+        for row in links:
+            assert not np.isin(row, [1, 3, 5]).any()
+        assert np.array_equal(links[1], [0, 2, 4])  # p >= 1 on these pairs
+    assert_link_rows(gg._links_fast(x, np.zeros(4), seed=1), 4, x.size)
+    assert_link_rows(gg._links_fast(np.zeros(3), y, seed=1), y.size, 3)
 
 
 # ---------------------------------------------------------------------------

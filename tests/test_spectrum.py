@@ -205,8 +205,9 @@ def test_read_edge_list_round_trip():
 def test_read_edge_list_from_path(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("# a comment\n\n0 1\n1 2\n")
-    g = read_edge_list(str(path))
-    assert g.n == 3 and g.n_edges == 2
+    for file in (str(path), path):  # a str or an os.PathLike
+        g = read_edge_list(file)
+        assert g.n == 3 and g.n_edges == 2
 
 
 def test_read_edge_list_skips_comments_blanks_loops_dupes():
@@ -249,3 +250,6 @@ def test_write_spectrum_csv_to_path(tmp_path, tri_pendant_spectrum):
     path = tmp_path / "spec.csv"
     write_spectrum_csv(tri_pendant_spectrum, str(path))
     assert path.read_text().startswith("k,n_vertices")
+    other = tmp_path / "spec_pathlike.csv"
+    write_spectrum_csv(tri_pendant_spectrum, other)
+    assert other.read_text() == path.read_text()
