@@ -35,9 +35,6 @@ from .theory import (
     coefficient_from_ratio,
     degree_tail_asymptotic,
     delta_exponent,
-    limit_terms,
-    predict_C,
-    predict_c,
     ratio_from_coefficient,
     tail_ratio_constant,
     tail_weight_asymptotics,

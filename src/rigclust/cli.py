@@ -9,9 +9,10 @@ Subcommands:
 * ``stats``     -- clustering spectrum of an external edge list.
 
 Exit codes: 0 success (also when the reader of stdout closes it early), 1
-usage error (including a ``tol`` outside (0, 1)), weight laws outside the
-theory's domain, or a quadrature that cannot reach ``tol``, 2 malformed data,
-3 budget abort.
+usage error (including a ``tol`` outside (0, 1) and ``--workers`` below 1),
+weight laws outside the theory's domain, or a quadrature that cannot reach
+``tol``, 2 malformed data, 3 budget abort.  ``simulate`` and ``compare`` start
+at most one worker process per replicate.
 """
 
 from __future__ import annotations

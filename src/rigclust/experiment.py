@@ -40,9 +40,9 @@ from .graphgen import (
     project,
     sample_bipartite,
 )
-from .mixedpoisson import DEFAULT_K_MAX
 from .spectrum import ClusteringSpectrum, clustering_spectrum, pool, write_spectrum_csv
 from .theory import (
+    DEFAULT_K_MAX,
     ModelParams,
     pareto_delta,
     ratio_from_coefficient,
@@ -331,9 +331,17 @@ def _one_replicate(config: ExperimentConfig, index: int):
     return index, clustering_spectrum(graph), None
 
 
+def _pool_size(config: ExperimentConfig, workers: int) -> int:
+    """Processes to run the replicates in: never more than there are replicates."""
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
+    return min(workers, config.replicates)
+
+
 def _run_replicates(config: ExperimentConfig, workers: int):
     indices = range(config.replicates)
-    if workers <= 1:
+    workers = _pool_size(config, workers)
+    if workers == 1:
         return [_one_replicate(config, i) for i in indices]
     with ProcessPoolExecutor(max_workers=workers) as pool_:
         return list(pool_.map(_one_replicate, [config] * config.replicates, indices))
@@ -460,7 +468,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> ComparisonReport:
     t0 = time.monotonic()
     ks = list(range(config.k_min, config.k_max + 1))
     # The theory comes first so that laws outside its domain fail before any
-    # replicate is sampled.
+    # replicate is sampled; a bad worker count fails before both.
+    _pool_size(config, workers)
     curve = {row.k: row for row in theory_curve(
         config.params, ks, config.pmf_k_max, config.tol)}
 

@@ -60,15 +60,6 @@ __all__ = [
 #: Tolerance on |sum(mass) + tail_mass - 1| accepted by Pmf.validate.
 NORMALIZATION_ATOL = 1e-9
 
-#: Default length of the mass grid (entries 0..DEFAULT_K_MAX).
-DEFAULT_K_MAX = 4096
-
-#: Hard ceiling for automatic grid extension.
-GRID_CAP = 1 << 20
-
-#: Grid extension stops once no more than this much mass is beyond the grid.
-EXTEND_TARGET = 1e-8
-
 
 def text_file(file, mode: str):
     """Context manager for a path or an open text file: a path (``str`` or
@@ -285,10 +276,11 @@ def _panel_widths(w: float, scale: float, ridge_end: float) -> float:
 
 
 class _PanelAccumulator:
-    def __init__(self, k_max: int):
+    def __init__(self, k_max: int, tol: float):
         self.mass = np.zeros(k_max + 1)
         self.tail = 0.0
         self.err = 0.0
+        self.tol = tol
 
 
 def _pareto_panel(x0: float, a: float, scale: float, lo: float, hi: float,
@@ -332,6 +324,11 @@ def _refine_panel(x0, a, scale, lo, hi, budget, depth, k_max, log_fact,
             acc.mass[s_lo_p:s_lo_p + fine.size] += fine
         acc.tail += tail_1 + tail_2
         acc.err += err
+        # The bound only grows, so fail as soon as it passes tol.
+        if acc.err > acc.tol:
+            raise QuadratureError(
+                f"panel refinement reached depth {_MAX_DEPTH} with accumulated "
+                f"error bound {acc.err:.3e} > tol {acc.tol:.3e}", achieved=acc.err)
         return
     _refine_panel(x0, a, scale, lo, mid, 0.5 * budget, depth + 1, k_max, log_fact, acc)
     _refine_panel(x0, a, scale, mid, hi, 0.5 * budget, depth + 1, k_max, log_fact, acc)
@@ -355,14 +352,10 @@ def _pareto_mixture(law: Pareto, scale: float, r: int, k_max: int,
     n_panels = len(edges) - 1
 
     log_fact = _log_factorials(k_max)
-    acc = _PanelAccumulator(k_max)
+    acc = _PanelAccumulator(k_max, tol)
     budget = tol / (8.0 * n_panels)
     for lo, hi in zip(edges[:-1], edges[1:]):
         _refine_panel(x0, a, scale, lo, hi, budget, 0, k_max, log_fact, acc)
-    if acc.err > tol:
-        raise QuadratureError(
-            f"panel refinement reached depth {_MAX_DEPTH} with accumulated "
-            f"error bound {acc.err:.3e} > tol {tol:.3e}", achieved=acc.err)
 
     # Mass that mixes from weights beyond w_cut: bounded by the biased tail
     # there, and (by the ridge cut) it lands beyond k_max, so it belongs to
@@ -388,33 +381,21 @@ def _mixture_once(spec: MixingSpec, k_max: int, tol: float) -> tuple[np.ndarray,
     return _atomic_mixture(atoms, spec.scale, spec.bias_order, k_max)
 
 
-def pmf_mixed_poisson(spec: MixingSpec, k_max: int = DEFAULT_K_MAX,
-                      tol: float = 1e-10) -> Pmf:
-    """Numeric pmf of the size-biased mixed Poisson law.
+def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
+    """Numeric pmf of the size-biased mixed Poisson law on ``0..k_max``.
 
     Entry ``s`` equals ``E[exp(-rate) rate**(s+r)] / (s! E[rate**r])`` with
     ``rate = scale * W`` and ``r = spec.bias_order``, to absolute accuracy
     ``tol`` per entry (and, for Pareto mixing, near-full relative accuracy
-    thanks to ridge-resolving panels).  ``tail_mass`` bounds the mass beyond
-    ``k_max``; the grid auto-extends (doubling, capped at 2**20) until at most
-    ``1e-8`` is left beyond it.
+    thanks to ridge-resolving panels).  The grid is exactly the one asked
+    for; ``tail_mass`` bounds the mass beyond ``k_max``, however large.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    k = int(k_max)
-    while True:
-        mass, tail = _mixture_once(spec, k, tol)
-        if tail <= EXTEND_TARGET:
-            return Pmf(mass, tail)
-        if k >= GRID_CAP:
-            raise QuadratureError(
-                f"pmf support will not fit: {tail:.3e} mass beyond grid cap "
-                f"{GRID_CAP} (target {EXTEND_TARGET:.0e})", achieved=tail)
-        k = min(2 * k, GRID_CAP)
+    return Pmf(*_mixture_once(spec, int(k_max), tol))
 
 
-def pmf_offspring(params: "ModelParams", k_max: int = DEFAULT_K_MAX,
-                  tol: float = 1e-10) -> Pmf:
+def pmf_offspring(params: "ModelParams", k_max: int, tol: float = 1e-10) -> Pmf:
     """Law of the extra actors met through one shared attribute.
 
     If N counts the actors on an attribute (the 'attribute' mixed Poisson law),

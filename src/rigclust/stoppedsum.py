@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixedpoisson import DEFAULT_K_MAX, Pmf
+from .mixedpoisson import Pmf
 
 __all__ = ["StoppedSumSpec", "convolve", "pmf_stopped_sum", "tail_from_pmf"]
 
@@ -75,12 +75,12 @@ def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
     count probability joins the tail bound, as do the summand tail bounds
     (i per convolution power) and any convolution mass beyond the grid.
 
-    The default grid covers the full sum support when that is modest, and
-    otherwise caps it (with the excess accounted for in the tail bound).
+    The default grid covers the full sum support ``count.k_max *
+    summand.k_max``, as in :func:`convolve`.
     """
     count, summand = spec.count, spec.summand
     if k_max is None:
-        k_max = min(count.k_max * summand.k_max, DEFAULT_K_MAX)
+        k_max = count.k_max * summand.k_max
     if not (tol > 0):
         raise ValueError("tol must be positive")
 

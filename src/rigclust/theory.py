@@ -37,28 +37,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .mixedpoisson import (
-    DEFAULT_K_MAX,
-    Pmf,
-    mixing_spec,
-    pmf_mixed_poisson,
-    pmf_offspring,
-)
+from .mixedpoisson import Pmf, mixing_spec, pmf_mixed_poisson, pmf_offspring
 from .stoppedsum import StoppedSumSpec, convolve, pmf_stopped_sum, tail_from_pmf
 from .weights import InfiniteMomentError, Pareto, WeightLaw
 
 __all__ = [
+    "DEFAULT_K_MAX",
     "GRID_TAIL_RTOL",
     "Interval",
     "ModelParams",
     "LimitTerms",
     "LimitLaws",
-    "limit_terms",
     "adaptive_limit_laws",
     "coefficient_from_ratio",
     "ratio_from_coefficient",
-    "predict_c",
-    "predict_C",
     "delta_exponent",
     "degree_tail_asymptotic",
     "attribute_tail_asymptotic",
@@ -69,6 +61,10 @@ __all__ = [
 ]
 
 _TIE_RTOL = 1e-9
+
+#: Largest grid (entries 0..DEFAULT_K_MAX) the limit laws are built on: the
+#: default cap of :func:`adaptive_limit_laws` and :func:`theory_curve`.
+DEFAULT_K_MAX = 4096
 
 #: Largest grid tail mass :func:`theory_curve` accepts, relative to each route
 #: law's grid mass at and beyond the last requested degree: the grid then
@@ -154,15 +150,16 @@ class LimitTerms(NamedTuple):
 
 
 class LimitLaws:
-    """Numeric ingredient pmfs for the limit formulas, built once per params.
+    """Numeric ingredient pmfs for the limit formulas on the grid ``0..k_max``.
 
     Exposes the combined closed-route law (stopped sum with order-1 count plus
     the order-3 attribute law) and open-route law (order-2 count stopped sum
-    plus two order-2 attribute laws), already on a common grid.
+    plus two order-2 attribute laws).  Every ingredient is built on the same
+    ``k_max`` grid, so the grid length is decided by the caller alone (see
+    :func:`adaptive_limit_laws`); what falls beyond it is in ``tail_mass``.
     """
 
-    def __init__(self, params: ModelParams, k_max: int = DEFAULT_K_MAX,
-                 tol: float = 1e-10):
+    def __init__(self, params: ModelParams, k_max: int, tol: float = 1e-10):
         _require_fourth_moments(params)
         self.params = params
         self.k_max = int(k_max)
@@ -213,12 +210,6 @@ class LimitLaws:
 @lru_cache(maxsize=8)
 def _limit_laws_cached(params: ModelParams, k_max: int, tol: float) -> LimitLaws:
     return LimitLaws(params, k_max, tol)
-
-
-def limit_terms(params: ModelParams, k: int, k_max: int = DEFAULT_K_MAX,
-                tol: float = 1e-10) -> LimitTerms:
-    """Route weights (a, b, A, B) at degree k; laws are cached per params."""
-    return _limit_laws_cached(params, int(k_max), float(tol)).terms(k)
 
 
 def adaptive_limit_laws(params: ModelParams, k_last: int,
@@ -281,25 +272,6 @@ def _C_from_tails(beta: float, A: Interval, B: Interval) -> Interval:
     lo = 0.0 if A.lo == 0.0 else coefficient_from_ratio(beta, B.hi / A.lo)
     hi = 1.0 if A.hi == 0.0 else coefficient_from_ratio(beta, B.lo / A.hi)
     return Interval(lo, hi)
-
-
-def predict_c(params: ModelParams, k: int, k_max: int = DEFAULT_K_MAX,
-              tol: float = 1e-10) -> float:
-    """Limiting clustering probability at degree exactly k."""
-    a, b = _limit_laws_cached(params, int(k_max), float(tol)).point_weights(k)
-    c = _c_from_weights(params.beta, a, b)
-    if c is None:
-        raise ValueError(f"degree {k} carries no limit mass on either route")
-    return c
-
-
-def predict_C(params: ModelParams, k: int, k_max: int = DEFAULT_K_MAX,
-              tol: float = 1e-10) -> Interval:
-    """Interval for the limiting clustering probability at degree >= k."""
-    A, B = _limit_laws_cached(params, int(k_max), float(tol)).tail_weights(k)
-    if A.hi == 0.0 and B.hi == 0.0:
-        raise ValueError(f"degree >= {k} carries no limit mass on either route")
-    return _C_from_tails(params.beta, A, B)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -144,12 +145,40 @@ def test_quadrature_failure_exit_one(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_unreachable_tol_fails_fast():
+    # Double precision cannot certify 1e-20: the first depth-capped panel
+    # that pushes the error bound past tol ends the build.
+    argv = ["theory", "--n", "10000", "--m", "10000", "--beta", "1",
+            "--x-law", "pareto(1,7)", "--y-law", "pareto(1,6)",
+            "--k-min", "3", "--k-max", "15", "--tol", "1e-20"]
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "rigclust", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert time.monotonic() - t0 < 10.0
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("error: panel refinement reached depth")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1"])
 def test_tol_outside_unit_interval_exit_one(capsys, tol):
     code, _, err = run_main(["theory", *BASE, f"--tol={tol}"], capsys)
     assert code == EXIT_USAGE
     assert err.startswith("error: tol must be in (0, 1)")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_zero_workers_exit_one(tmp_path, capsys, monkeypatch, command):
+    def no_theory(*args, **kwargs):
+        raise AssertionError("the worker count was checked after the theory build")
+
+    monkeypatch.setattr("rigclust.experiment.theory_curve", no_theory)
+    code, out, err = run_main(
+        [command, *BASE, "--workers", "0", "--output-dir", str(tmp_path / "out")],
+        capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: workers must be >= 1, got 0\n"
 
 
 def test_compare_requires_output_dir(capsys):

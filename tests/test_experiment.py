@@ -29,6 +29,7 @@ from rigclust.experiment import (
     default_delta_window,
     law_to_str,
     read_config,
+    simulate,
 )
 
 
@@ -314,6 +315,32 @@ def test_worker_count_does_not_change_reports(tmp_path):
         texts.append((out / "report.csv").read_bytes()
                      + (out / "report.json").read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_worker_pool_never_exceeds_replicates(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # Starts no process: records the pool size and maps in this one.
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("rigclust.experiment.ProcessPoolExecutor", RecordingPool)
+    for replicates, workers in ((2, 5000), (3, 2), (1, 8)):
+        cfg = build_config(config_values(n=60, m=60, replicates=str(replicates)))
+        assert len(simulate(cfg, workers=workers).spectra) == replicates
+    assert sizes == [2, 2]
+    with pytest.raises(UsageError, match="workers must be >= 1"):
+        simulate(build_config(config_values(n=60, m=60)), workers=0)
 
 
 def test_run_raises_when_every_replicate_exceeds_budget():

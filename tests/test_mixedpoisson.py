@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from scipy.special import gammaincc, gammaln
 from scipy.stats import poisson
 
-import rigclust.mixedpoisson as mp
 from rigclust import (
     Degenerate,
     Finite,
@@ -17,7 +16,6 @@ from rigclust import (
     ModelParams,
     Pareto,
     Pmf,
-    QuadratureError,
     mixing_spec,
     pmf_mixed_poisson,
     pmf_offspring,
@@ -259,21 +257,15 @@ def test_pmf_csv_round_trip(tmp_path):
     assert np.array_equal(again.mass, res.mass)
 
 
-def test_auto_extension_reaches_small_tail():
-    # A heavy mixture asked for on a tiny grid must grow it until the tail
-    # is negligible rather than return a grossly truncated pmf.
+def test_grid_is_the_one_asked_for():
+    # A heavy mixture on a tiny grid is not extended: the entries equal the
+    # head of a long build, and tail_mass bounds all the mass beyond.
     spec = MixingSpec(Pareto(1.0, 5.5), scale=3.0, bias_order=3)
-    res = pmf_mixed_poisson(spec, k_max=8)
-    assert res.k_max > 8
-    assert res.tail_mass <= mp.EXTEND_TARGET * 1.001
-
-
-def test_grid_cap_failure_raises(monkeypatch):
-    monkeypatch.setattr(mp, "GRID_CAP", 64)
-    spec = MixingSpec(Pareto(1.0, 5.2), scale=5.0, bias_order=3)
-    with pytest.raises(QuadratureError) as info:
-        pmf_mixed_poisson(spec, k_max=8)
-    assert info.value.achieved > 0.0
+    short = pmf_mixed_poisson(spec, k_max=8)
+    long = pmf_mixed_poisson(spec, k_max=512)
+    assert short.mass.size == 9
+    assert np.allclose(short.mass, long.mass[:9], rtol=0.0, atol=1e-10)
+    assert short.tail_mass >= math.fsum(long.mass[9:])
 
 
 def test_scale_validation():

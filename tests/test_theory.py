@@ -10,7 +10,6 @@ import rigclust.theory as th
 from rigclust import (
     Degenerate,
     InfiniteMomentError,
-    Interval,
     LimitLaws,
     ModelParams,
     Pareto,
@@ -22,9 +21,6 @@ from rigclust import (
     coefficient_from_ratio,
     degree_tail_asymptotic,
     delta_exponent,
-    limit_terms,
-    predict_C,
-    predict_c,
     ratio_from_coefficient,
     tail_ratio_constant,
     tail_weight_asymptotics,
@@ -118,22 +114,15 @@ def test_predictions_match_degenerate_oracle(degenerate_pair):
     # widens (and must still cover the truth), and the midpoints drift by at
     # most the truncation allowance.
     params, oracle, laws = degenerate_pair
-    for k, rel in ((2, 1e-9), (3, 1e-9), (5, 1e-9), (9, 1e-9), (17, 1e-9),
-                   (30, 1e-3)):
-        assert predict_c(params, k, k_max=512, tol=BUILD_TOL) == pytest.approx(
-            oracle.c(k), rel=rel)
-        civ = predict_C(params, k, k_max=512, tol=BUILD_TOL)
+    cases = ((2, 1e-9), (3, 1e-9), (5, 1e-9), (9, 1e-9), (17, 1e-9), (30, 1e-3))
+    rows = theory_curve(params, [k for k, _ in cases], k_max=512, tol=BUILD_TOL)
+    assert [row.k for row in rows] == [k for k, _ in cases]
+    for row, (k, rel) in zip(rows, cases):
+        assert row.c_pred == pytest.approx(oracle.c(k), rel=rel)
+        civ = row.C_pred
         assert civ.lo <= civ.hi
         assert civ.lo - 1e-9 * civ.mid <= oracle.C(k) <= civ.hi + 1e-9 * civ.mid
         assert civ.mid == pytest.approx(oracle.C(k), rel=rel)
-
-
-def test_limit_terms_wrapper(degenerate_pair):
-    params, oracle, laws = degenerate_pair
-    terms = limit_terms(params, 7, k_max=512, tol=BUILD_TOL)
-    a, b = laws.point_weights(7)
-    assert terms.a == a and terms.b == b
-    assert isinstance(terms.A, Interval)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +200,7 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(5, 5, 0.0, Pareto(1, 7), Pareto(1, 6))
     with pytest.raises(InfiniteMomentError):
-        LimitLaws(ModelParams(5, 5, 1.0, Pareto(1, 3.5), Pareto(1, 6)))
+        LimitLaws(ModelParams(5, 5, 1.0, Pareto(1, 3.5), Pareto(1, 6)), k_max=64)
 
 
 def test_coefficient_ratio_round_trip():
