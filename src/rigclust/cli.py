@@ -11,8 +11,10 @@ Subcommands:
 Exit codes: 0 success (also when the reader of stdout closes it early), 1
 usage error (including a ``tol`` outside (0, 1) and ``--workers`` below 1),
 weight laws outside the theory's domain, or a quadrature that cannot reach
-``tol``, 2 malformed data, 3 budget abort.  ``simulate`` and ``compare`` start
-at most one worker process per replicate.
+``tol``, 2 malformed data, 3 budget abort, 4 a worker process of
+``simulate`` or ``compare`` died before returning its replicates (it was
+killed, for example by the out-of-memory killer).  ``simulate`` and
+``compare`` start at most one worker process per replicate.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import csv
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .experiment import (
     CONFIG_PARSERS,
@@ -48,6 +51,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BUDGET = 3
+EXIT_WORKER = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,7 +171,7 @@ def _cmd_stats(args) -> int:
         graph = read_edge_list(args.edges)
     except OSError as exc:
         raise DataFormatError(f"cannot read {args.edges}: {exc}") from exc
-    if graph.n == 0:
+    if graph.n + graph.extra_isolated == 0:
         print(f"warning: {args.edges} contains no edges", file=sys.stderr)
     spec = clustering_spectrum(graph)
     write_spectrum_csv(spec, args.out or sys.stdout)
@@ -231,6 +235,9 @@ def main(argv=None) -> int:
     except EdgeBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenExecutor as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except OSError as exc:
         # Any file error the subcommands did not wrap themselves: fail with a
         # clean line rather than a traceback.

@@ -99,11 +99,17 @@ def _sample_weights(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndar
 def _links_reference(x: np.ndarray, y: np.ndarray, seed: int) -> list[np.ndarray]:
     n, m = y.size, x.size
     root = 1.0 / math.sqrt(n * m)
+    # One stream, rekeyed per row to the fresh state of _stream(seed,
+    # _STREAM_REF | i): the same bytes without a new Generator per row.
+    rng = _stream(seed, _STREAM_REF)
+    fresh = rng.bit_generator.state
+    key = fresh["state"]["key"]
     links = []
     for i in range(m):
+        key[1] = _STREAM_REF | i
+        rng.bit_generator.state = fresh
         p = np.minimum(1.0, (x[i] * root) * y)
-        u = _stream(seed, _STREAM_REF | i).random(n)
-        links.append(np.nonzero(u < p)[0].astype(np.int64))
+        links.append(np.nonzero(rng.random(n) < p)[0].astype(np.int64))
     return links
 
 
@@ -203,11 +209,16 @@ def sample_bipartite(params: ModelParams, seed: int,
 
 @dataclass(frozen=True)
 class ProjectedGraph:
-    """Simple undirected graph in CSR form; neighbor lists sorted, no loops."""
+    """Simple undirected graph in CSR form; neighbor lists sorted, no loops.
+
+    ``extra_isolated`` counts further vertices with no edge and no CSR row,
+    such as the ids a compactly relabelled edge list skips.
+    """
 
     n: int
     indptr: np.ndarray
     neighbors: np.ndarray
+    extra_isolated: int = 0
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -228,26 +239,28 @@ class ProjectedGraph:
 
 
 def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> ProjectedGraph:
-    """Build the CSR graph from endpoint arrays; dedupes and drops loops."""
+    """Build the CSR graph from endpoint arrays; dedupes and drops loops.
+
+    Edges are handled as sorted ``row * n + column`` keys, so n must stay
+    below about 3e9 (n**2 < 2**63).
+    """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
+    keys = np.empty(0, dtype=np.int64)
     if u.size:
         if int(max(u.max(), v.max())) >= n or int(min(u.min(), v.min())) < 0:
             raise ValueError("edge endpoint outside [0, n)")
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         keep = lo != hi
-        keys = np.unique(lo[keep] * np.int64(n) + hi[keep])
-        eu, ev = keys // n, keys % n
-    else:
-        eu = ev = np.empty(0, dtype=np.int64)
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+        keys = np.sort(lo[keep] * np.int64(n) + hi[keep])
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+        eu, ev = np.divmod(keys, n)
+        # Both orientations, ordered by (row, column).
+        keys = np.sort(np.concatenate([keys, ev * np.int64(n) + eu]))
+    src, dst = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return ProjectedGraph(n, indptr, dst)
 
 

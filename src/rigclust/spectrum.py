@@ -12,13 +12,24 @@ distinct vertices uniformly at random -- the identity the test suite checks by
 exhaustive enumeration.
 
 Per-vertex triangle counts come from the degree-ordered orientation: each edge
-points from the endpoint with smaller (degree, id) to the larger, every
-triangle is discovered exactly once by intersecting the sorted out-lists of an
-oriented edge's endpoints, and all three corners are credited.
+points from the endpoint with smaller (degree, id) to the larger.  An oriented
+edge v -> w and any x in out(w) form a wedge, which is a triangle exactly when
+v -> x is an oriented edge too; every triangle is found once this way, from
+its lowest and middle corners, and all three corners are credited.  The test
+is a binary search of the sorted keys v*n + x of the oriented edges, run on
+chunks of about ``_WEDGE_CHUNK`` wedges so the temporaries stay bounded
+(edge-iterator triangle listing; Latapy 2008, "Main-memory triangle
+computations for very large (sparse (power-law)) graphs").
+
+Edge lists given as a path are parsed by one ``np.loadtxt`` call; an open file,
+or anything that call rejects, goes through the line parser, which names the
+first malformed line.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,29 +49,52 @@ __all__ = [
 ]
 
 
+#: Wedges checked per step of :func:`triangle_counts`; it bounds the
+#: temporaries (a few int64 arrays of this length).
+_WEDGE_CHUNK = 1 << 17
+
+
+#: The largest vertex id read: the vertex count max id + 1 must fit in int64.
+_MAX_ID = np.iinfo(np.int64).max - 1
+
+
 class DataFormatError(ValueError):
     """Malformed external data (edge lists, spectrum tables)."""
 
 
 def triangle_counts(g: ProjectedGraph) -> np.ndarray:
     """Number of triangles through each vertex."""
-    deg = g.degrees
-    counts = np.zeros(g.n, dtype=np.int64)
+    n = g.n
+    counts = np.zeros(n, dtype=np.int64)
     # rank = position in the (degree, id) order; orientation low -> high.
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[np.lexsort((np.arange(g.n), deg))] = np.arange(g.n)
-    out = []
-    for v in range(g.n):
-        nb = g.neighbor_list(v)
-        out.append(nb[rank[nb] > rank[v]])  # sorted by id since nb is
-    for v in range(g.n):
-        ov = out[v]
-        for w in ov.tolist():
-            common = np.intersect1d(ov, out[w], assume_unique=True)
-            if common.size:
-                counts[v] += common.size
-                counts[w] += common.size
-                np.add.at(counts, common, 1)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), g.degrees))] = np.arange(n)
+    src = np.repeat(np.arange(n), g.degrees)
+    up = rank[src] < rank[g.neighbors]
+    es, ed = src[up], g.neighbors[up]  # oriented edges, sorted by (es, ed)
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(es, minlength=n), out=out_ptr[1:])
+    # Sorted keys v*n + x of the oriented edges, closed by a sentinel above
+    # every key so that a search never runs off the end.
+    keys = np.append(es * np.int64(n) + ed, np.iinfo(np.int64).max)
+    # Edge v -> w makes a wedge with each x in out(w); it is a triangle,
+    # found only here, when v -> x is an oriented edge too.
+    per_edge = np.diff(out_ptr)[ed]
+    ends = np.cumsum(per_edge)
+    total = int(ends[-1]) if ends.size else 0
+    cuts = np.searchsorted(ends, np.arange(_WEDGE_CHUNK, total, _WEDGE_CHUNK), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [es.size])))
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        size = per_edge[a:b]
+        stop = ends[a:b] - (ends[a - 1] if a else 0)  # wedge ends in the chunk
+        x = ed[np.repeat(out_ptr[ed[a:b]] + size - stop, size) + np.arange(stop[-1])]
+        closing = np.repeat(es[a:b] * np.int64(n), size) + x
+        # Every closing key lies in the rows es[a]..es[b - 1]; the key just
+        # past them bounds the search.
+        rows = keys[out_ptr[es[a]]:out_ptr[es[b - 1] + 1] + 1]
+        hit = np.flatnonzero(rows[np.searchsorted(rows, closing)] == closing)
+        edge = a + np.searchsorted(stop, hit, side="right")
+        np.add.at(counts, np.concatenate([es[edge], ed[edge], x[hit]]), 1)
     return counts
 
 
@@ -117,8 +151,10 @@ def clustering_spectrum(g: ProjectedGraph) -> ClusteringSpectrum:
     tri = triangle_counts(g)
     cherries = deg * (deg - 1) // 2
     length = int(deg.max()) + 1 if g.n else 1
+    n_vertices = np.bincount(deg, minlength=length)
+    n_vertices[0] += g.extra_isolated
     return ClusteringSpectrum(
-        n_vertices=np.bincount(deg, minlength=length),
+        n_vertices=n_vertices,
         tri_sum=np.bincount(deg, weights=tri, minlength=length).astype(np.int64),
         cherry_sum=np.bincount(deg, weights=cherries, minlength=length).astype(np.int64),
     )
@@ -145,10 +181,64 @@ def pool(spectra) -> ClusteringSpectrum:
 def read_edge_list(file) -> ProjectedGraph:
     """Parse 'u v' lines (blank lines and #-comments allowed) into a graph.
 
-    Vertex count is max id + 1; ids never mentioned are isolated vertices only
-    if smaller than some mentioned id.  Self-loops are dropped: they carry no
-    cherry or triangle information.
+    The vertices are the ids 0..max id, or, when that range is more than
+    twice the number of edge lines, only the ids with an edge, relabelled
+    in id order, with the other ids up to the max counted in
+    ``extra_isolated``.  Either way the CSR stays no longer than the edge
+    arrays and every id up to the max counts as a vertex.  Self-loops are
+    dropped: they carry no cherry or triangle information.
     """
+    edges = _read_bulk(file)
+    if edges is None:
+        edges = _read_lines(file)
+    u, v = edges[:, 0], edges[:, 1]
+    n = int(edges.max()) + 1 if edges.size else 0
+    if n <= 2 * len(edges):
+        return graph_from_edges(n, u, v)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    ids = np.sort(np.concatenate([u, v]))
+    ids = ids[np.diff(ids, prepend=-1) != 0]
+    g = graph_from_edges(ids.size, np.searchsorted(ids, u), np.searchsorted(ids, v))
+    return ProjectedGraph(g.n, g.indptr, g.neighbors, extra_isolated=n - ids.size)
+
+
+def _has_inline_comment(raw: bytes) -> bool:
+    """Whether some line has a '#' after its first non-blank character:
+    np.loadtxt reads the part before it, but the line format rejects it."""
+    at = raw.find(b"#")
+    while at >= 0:
+        if raw[raw.rfind(b"\n", 0, at) + 1:at].strip():
+            return True
+        end = raw.find(b"\n", at)
+        at = raw.find(b"#", end) if end >= 0 else -1
+    return False
+
+
+def _read_bulk(file) -> np.ndarray | None:
+    """(edges, 2) ids of a path in one np.loadtxt call, or None when the
+    file needs the line parser: an open file, a path that is not a regular
+    file (a pipe cannot be read twice), anything np.loadtxt rejects or warns
+    about, a column count other than two, or an id outside 0.._MAX_ID."""
+    if not isinstance(file, (str, os.PathLike)) or not os.path.isfile(file):
+        return None
+    try:
+        with open(file, "rb") as f:
+            if _has_inline_comment(f.read()):
+                return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = np.loadtxt(file, dtype=np.int64, comments="#", ndmin=2,
+                               encoding="utf-8")
+    except (OSError, ValueError, Warning):
+        return None
+    if edges.shape[1] != 2 or ((edges < 0) | (edges > _MAX_ID)).any():
+        return None
+    return edges
+
+
+def _read_lines(file) -> np.ndarray:
+    """The line-by-line parser, which names the first bad line."""
     us, vs = [], []
     with text_file(file, "r") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -166,13 +256,12 @@ def read_edge_list(file) -> ProjectedGraph:
                     f"line {lineno}: non-integer vertex id in {raw!r}") from exc
             if a < 0 or b < 0:
                 raise DataFormatError(f"line {lineno}: negative vertex id in {raw!r}")
+            if a > _MAX_ID or b > _MAX_ID:
+                raise DataFormatError(
+                    f"line {lineno}: vertex id above {_MAX_ID} in {raw!r}")
             us.append(a)
             vs.append(b)
-    if not us:
-        return graph_from_edges(0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    u = np.array(us, dtype=np.int64)
-    v = np.array(vs, dtype=np.int64)
-    return graph_from_edges(int(max(u.max(), v.max())) + 1, u, v)
+    return np.array([us, vs], dtype=np.int64).T
 
 
 def write_spectrum_csv(spectrum: ClusteringSpectrum, file) -> None:

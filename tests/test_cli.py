@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -12,6 +13,7 @@ from rigclust.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_WORKER,
     _build_parser,
     _config_from_args,
     main,
@@ -179,6 +181,33 @@ def test_zero_workers_exit_one(tmp_path, capsys, monkeypatch, command):
         capsys)
     assert code == EXIT_USAGE and out == ""
     assert err == "error: workers must be >= 1, got 0\n"
+
+
+class KilledPool:
+    """Stands in for ProcessPoolExecutor: a worker died, no process starts."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, *args):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_killed_worker_exit_four(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("rigclust.experiment.ProcessPoolExecutor", KilledPool)
+    code, out, err = run_main(
+        [command, *BASE, "--replicates", "2", "--workers", "2", "--k-max", "6",
+         "--output-dir", str(tmp_path / "out")], capsys)
+    assert code == EXIT_WORKER and out == ""
+    assert err == ("error: a worker process died: "
+                   "A process in the process pool was terminated abruptly\n")
 
 
 def test_compare_requires_output_dir(capsys):

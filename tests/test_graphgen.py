@@ -1,5 +1,6 @@
 """Bipartite samplers and clique projection against hand-counted cases."""
 
+import hashlib
 import io
 import math
 
@@ -46,6 +47,22 @@ def test_sample_is_deterministic_in_seed():
             assert np.array_equal(a, b)
         s3 = sample_bipartite(params, 43, generator)
         assert not all(np.array_equal(a, b) for a, b in zip(s1.links, s3.links))
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (11, "212ae97d9690c03ad317dbf6e22bd0a506dc513bb78ab4441767e60f596cf920"),
+    (2**63 + 11, "a2f5951672fe07da38ae60f7b1c078c228c51514b0be4574cec2276c8aa967ad"),
+])
+def test_reference_links_are_pinned(seed, digest):
+    # Row i of the reference scan reads the Philox stream keyed by
+    # (seed, _STREAM_REF | i); these digests pin those bytes, including a
+    # seed at or above 2**63.
+    params = ModelParams(300, 300, 1.0, Pareto(1, 7), Pareto(1, 6))
+    h = hashlib.sha256()
+    for row in sample_bipartite(params, seed, "reference").links:
+        h.update(np.int64(row.size).tobytes())
+        h.update(row.astype("<i8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_generators_share_weight_streams():
@@ -301,6 +318,25 @@ def test_graph_from_edges_dedupes_and_drops_loops():
     assert np.array_equal(g.neighbor_list(1), [0, 2])
     eu, ev = g.edge_array()
     assert list(zip(eu.tolist(), ev.tolist())) == [(0, 1), (1, 2)]
+
+
+def test_graph_from_edges_matches_set_built_csr():
+    rng = np.random.default_rng(8)
+    n = 40
+    u = rng.integers(0, n, 300)
+    v = rng.integers(0, n, 300)
+    # Every edge twice, once per orientation, plus the loops drawn above.
+    order = rng.permutation(2 * u.size)
+    g = graph_from_edges(n, np.concatenate([u, v])[order], np.concatenate([v, u])[order])
+    adj = [set() for _ in range(n)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    assert np.any(u == v)
+    assert g.indptr.dtype == g.neighbors.dtype == np.int64
+    assert np.array_equal(g.indptr, np.cumsum([0] + [len(a) for a in adj]))
+    assert np.array_equal(g.neighbors, [w for a in adj for w in sorted(a)])
 
 
 def test_graph_from_edges_validates_endpoints():

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+import rigclust.spectrum as spectrum
 from rigclust import (
     ClusteringSpectrum,
     DataFormatError,
@@ -55,16 +56,33 @@ def test_triangle_counts_hand_graphs():
     assert np.array_equal(triangle_counts(tri_pendant), [1, 1, 1, 0])
 
 
+def triple_enumeration_counts(g):
+    """Triangles through each vertex, by checking every vertex triple."""
+    adj = adjacency_sets(g)
+    expect = np.zeros(g.n, dtype=np.int64)
+    for a, b, c in itertools.combinations(range(g.n), 3):
+        if b in adj[a] and c in adj[a] and c in adj[b]:
+            expect[[a, b, c]] += 1
+    return expect
+
+
 def test_triangle_counts_match_triple_enumeration():
     rng = np.random.default_rng(1234)
     for _ in range(15):
         g = random_graph(rng, int(rng.integers(3, 13)), float(rng.uniform(0.2, 0.8)))
-        adj = adjacency_sets(g)
-        expect = np.zeros(g.n, dtype=np.int64)
-        for a, b, c in itertools.combinations(range(g.n), 3):
-            if b in adj[a] and c in adj[a] and c in adj[b]:
-                expect[[a, b, c]] += 1
-        assert np.array_equal(triangle_counts(g), expect)
+        assert np.array_equal(triangle_counts(g), triple_enumeration_counts(g))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_triangle_counts_span_many_wedge_chunks(monkeypatch, chunk):
+    # A chunk of a few wedges splits one graph into many steps, and single
+    # edges with more wedges than a chunk get a step of their own.
+    monkeypatch.setattr(spectrum, "_WEDGE_CHUNK", chunk)
+    rng = np.random.default_rng(99)
+    for _ in range(6):
+        g = random_graph(rng, int(rng.integers(8, 16)), float(rng.uniform(0.3, 0.9)))
+        assert np.array_equal(triangle_counts(g), triple_enumeration_counts(g))
+    assert np.array_equal(triangle_counts(complete_graph(9)), np.full(9, 28))
 
 
 def test_triangle_counts_empty_graph():
@@ -227,6 +245,75 @@ def test_read_edge_list_reports_line_numbers():
         read_edge_list(io.StringIO("-1 2\n"))
     with pytest.raises(DataFormatError, match="two vertex ids"):
         read_edge_list(io.StringIO("7\n"))
+
+
+EDGE_TEXTS = {
+    "comments and blanks": "# header\n\n  # indented\n0 1\n\n1 2\n# tail\n",
+    "loops and duplicates": "0 1\n1 1\n1 0\n0 1\n2 3\n3 3\n",
+    "single edge": "4 7\n",
+    "empty": "",
+    "tabs and CRLF": "0\t1\r\n 1  2 \r\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TEXTS))
+def test_read_edge_list_bulk_equals_line_parser(tmp_path, name):
+    text = EDGE_TEXTS[name]
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    bulk = read_edge_list(path)
+    lines = read_edge_list(io.StringIO(text))
+    assert (bulk.n, bulk.extra_isolated) == (lines.n, lines.extra_isolated)
+    assert np.array_equal(bulk.indptr, lines.indptr)
+    assert np.array_equal(bulk.neighbors, lines.neighbors)
+    # Every case but the empty file is read in bulk.
+    assert (spectrum._read_bulk(path) is None) == (name == "empty")
+
+
+@pytest.mark.parametrize("text", [
+    "0 1\n1 2 3\n",
+    "0 1\n\na b\n",
+    "0 1\n-1 2\n",
+    "0 1\n7\n",
+    "0 1 # a trailing comment\n",
+    "0 1\n2 99999999999999999999\n" + "3 4\n" * 3,
+    "0 1\n9223372036854775807 0\n",
+])
+def test_read_edge_list_path_keeps_line_messages(tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as from_path:
+        read_edge_list(str(path))
+    with pytest.raises(DataFormatError) as from_file:
+        read_edge_list(io.StringIO(text))
+    assert str(from_path.value) == str(from_file.value)
+    assert str(from_path.value).startswith(("line 1:", "line 2:", "line 3:"))
+
+
+def test_read_edge_list_relabels_sparse_ids(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 40000000000\n")
+    g = read_edge_list(path)
+    assert g.n == 3 and g.extra_isolated == 40000000001 - 3
+    s = clustering_spectrum(g)
+    assert s.n_vertices.tolist() == [40000000001 - 3, 2, 1]
+    assert s.cherry_sum.tolist() == [0, 0, 1] and s.tri_sum.tolist() == [0, 0, 0]
+
+
+def test_sparse_ids_give_the_dense_spectrum():
+    rng = np.random.default_rng(17)
+    g = random_graph(rng, 12, 0.5)
+    u, v = g.edge_array()
+    dense = read_edge_list(io.StringIO("".join(f"{a} {b}\n" for a, b in zip(u, v))))
+    spread = read_edge_list(io.StringIO(
+        "".join(f"{a * 10**6 + 5} {b * 10**6 + 5}\n" for a, b in zip(u, v))))
+    assert spread.n == int((dense.degrees > 0).sum()) and dense.extra_isolated == 0
+    s_dense, s_spread = clustering_spectrum(dense), clustering_spectrum(spread)
+    top = 10**6 * int(max(u.max(), v.max())) + 5
+    assert s_spread.n_vertices[0] == top + 1 - spread.n
+    assert np.array_equal(s_spread.n_vertices[1:], s_dense.n_vertices[1:])
+    assert np.array_equal(s_spread.tri_sum, s_dense.tri_sum)
+    assert np.array_equal(s_spread.cherry_sum, s_dense.cherry_sum)
 
 
 def test_read_edge_list_empty_input():
