@@ -9,9 +9,10 @@ Subcommands:
 * ``stats``     -- clustering spectrum of an external edge list.
 
 Exit codes: 0 success (also when the reader of stdout closes it early), 1
-usage error (including a ``tol`` outside (0, 1) and ``--workers`` below 1),
-weight laws outside the theory's domain, or a quadrature that cannot reach
-``tol``, 2 malformed data, 3 budget abort, 4 a worker process of
+usage error (including a ``tol`` outside (0, 1), ``--workers`` below 1 and
+a config file that is not UTF-8), weight laws outside the theory's domain,
+or a quadrature that cannot reach ``tol``, 2 malformed data (also an edge
+list or CSV that is not UTF-8), 3 budget abort, 4 a worker process of
 ``simulate`` or ``compare`` died before returning its replicates (it was
 killed, for example by the out-of-memory killer).  ``simulate`` and
 ``compare`` start at most one worker process per replicate.
@@ -155,7 +156,7 @@ def _cmd_fit_delta(args) -> int:
                     points.append((float(row[ki]), float(row[vi])))
                 except ValueError as exc:
                     raise DataFormatError(f"{args.csv}: non-numeric row {row!r}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {args.csv}: {exc}") from exc
     try:
         fit = fit_delta(points, (args.window[0], args.window[1]))
@@ -169,7 +170,7 @@ def _cmd_fit_delta(args) -> int:
 def _cmd_stats(args) -> int:
     try:
         graph = read_edge_list(args.edges)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {args.edges}: {exc}") from exc
     if graph.n + graph.extra_isolated == 0:
         print(f"warning: {args.edges} contains no edges", file=sys.stderr)

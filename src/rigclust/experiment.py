@@ -223,7 +223,7 @@ def read_config(path: str) -> dict:
                 if key not in CONFIG_PARSERS:
                     raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = val
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return values
 

@@ -1,7 +1,8 @@
 """Bipartite affiliation sampling and projection to the actor graph.
 
 An attribute i and an actor j link independently with probability
-``min(1, x_i * y_j / sqrt(n * m))``.  Two exact generators are provided:
+``min(1, x_i * y_j / sqrt(n * m))``.  Two exact generators are provided,
+both returning the links as one CSR over attributes (:class:`BipartiteSample`):
 
 * ``reference`` -- scans every (attribute, actor) pair, drawing the uniforms
   for attribute i from a Philox stream keyed by (seed, i).  Counter-based
@@ -14,14 +15,16 @@ An attribute i and an actor j link independently with probability
   flattened block at the block's maximum link probability p_max and kept
   with probability p_ij / p_max (at least 1/4).  Blocks are walked in
   attribute-row chunks of about ``_CHUNK_CANDIDATES`` expected candidates,
-  which bounds the temporaries.  Expected work is proportional to the
+  which bounds the temporaries, and one sort of all kept ``attribute * n
+  + actor`` keys gives the CSR.  Expected work is proportional to the
   number of links plus the number of blocks rather than n * m.  The law of
   the output is identical to the reference generator (chi-square checked in
   the test suite), though the streams differ.
 
 Projection declares two actors adjacent when some attribute links both, i.e.
-every attribute contributes a clique on its actor set.  A configurable budget
-on candidate pairs aborts degenerate parameter choices before they thrash.
+every attribute contributes a clique on its actor set; the pairs of all
+cliques are enumerated at once from the CSR.  A configurable budget on
+candidate pairs aborts degenerate parameter choices before they thrash.
 """
 
 from __future__ import annotations
@@ -74,12 +77,22 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class BipartiteSample:
-    """One draw of weights and links; links[i] lists actor ids, sorted."""
+    """One draw of weights and links, the links as a CSR over attributes:
+    attribute i links ``actors[indptr[i]:indptr[i + 1]]``, sorted, unique."""
 
     x: np.ndarray
     y: np.ndarray
-    links: tuple
+    indptr: np.ndarray
+    actors: np.ndarray
     seed: int
+
+    @cached_property
+    def links(self) -> tuple:
+        """One read-only view of ``actors`` per attribute."""
+        view = self.actors.view()
+        view.flags.writeable = False
+        bounds = self.indptr.tolist()
+        return tuple(view[s:e] for s, e in zip(bounds, bounds[1:]))
 
     @property
     def m(self) -> int:
@@ -96,7 +109,15 @@ def _sample_weights(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndar
     return x, y
 
 
-def _links_reference(x: np.ndarray, y: np.ndarray, seed: int) -> list[np.ndarray]:
+def _rows_csr(keys: np.ndarray, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, columns) of sorted ``row * n + column`` keys over `rows` rows."""
+    row, col = np.divmod(keys, n)
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=rows), out=indptr[1:])
+    return indptr, col
+
+
+def _links_reference(x: np.ndarray, y: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     n, m = y.size, x.size
     root = 1.0 / math.sqrt(n * m)
     # One stream, rekeyed per row to the fresh state of _stream(seed,
@@ -104,13 +125,13 @@ def _links_reference(x: np.ndarray, y: np.ndarray, seed: int) -> list[np.ndarray
     rng = _stream(seed, _STREAM_REF)
     fresh = rng.bit_generator.state
     key = fresh["state"]["key"]
-    links = []
+    keys = []
     for i in range(m):
         key[1] = _STREAM_REF | i
         rng.bit_generator.state = fresh
         p = np.minimum(1.0, (x[i] * root) * y)
-        links.append(np.nonzero(rng.random(n) < p)[0].astype(np.int64))
-    return links
+        keys.append(i * n + np.flatnonzero(rng.random(n) < p).astype(np.int64))
+    return _rows_csr(np.concatenate(keys), m, n)
 
 
 def _weight_buckets(t_sorted: np.ndarray) -> list[tuple[int, int, float]]:
@@ -161,14 +182,14 @@ def _bucket_candidates(rng: np.random.Generator, size: int, p: float) -> np.ndar
         pos = int(positions[-1])
 
 
-def _links_fast(x: np.ndarray, y: np.ndarray, seed: int) -> list[np.ndarray]:
+def _links_fast(x: np.ndarray, y: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     n, m = y.size, x.size
     root = 1.0 / math.sqrt(n * m)
     x_order, x_sorted, x_buckets = _sorted_buckets(x)
     y_order, t_sorted, t_buckets = _sorted_buckets(y * root)
-    links = [np.empty(0, dtype=np.int64)] * m
+    keys = [np.empty(0, dtype=np.int64)]
     if not t_buckets:
-        return links  # every actor weight is zero
+        return _rows_csr(keys[0], m, n)  # every actor weight is zero
     for a, (row_start, row_end, x_cap) in enumerate(x_buckets):
         blocks = [(_stream(seed, _STREAM_FAST | (a * len(t_buckets) + b)),
                    start, end - start, min(1.0, x_cap * t_cap))
@@ -177,19 +198,13 @@ def _links_fast(x: np.ndarray, y: np.ndarray, seed: int) -> list[np.ndarray]:
         step = max(1, int(min(row_end - row_start, _CHUNK_CANDIDATES / per_row)))
         for lo in range(row_start, row_end, step):
             rows = min(step, row_end - lo)
-            keys = []
             for rng, start, width, p_max in blocks:
                 cand = _bucket_candidates(rng, rows * width, p_max)
                 r, c = cand // width, start + cand % width
                 p = np.minimum(1.0, x_sorted[lo + r] * t_sorted[c])
                 keep = rng.random(cand.size) < p / p_max
-                keys.append(r[keep] * n + y_order[c[keep]])
-            keys = np.sort(np.concatenate(keys))
-            ids = keys % n
-            ends = np.searchsorted(keys, np.arange(1, rows + 1) * n).tolist()
-            for i, s, e in zip(x_order[lo:lo + rows].tolist(), [0] + ends, ends):
-                links[i] = ids[s:e]
-    return links
+                keys.append(x_order[lo + r[keep]] * n + y_order[c[keep]])
+    return _rows_csr(np.sort(np.concatenate(keys)), m, n)
 
 
 def sample_bipartite(params: ModelParams, seed: int,
@@ -199,12 +214,12 @@ def sample_bipartite(params: ModelParams, seed: int,
         raise ValueError("need n, m >= 1")
     x, y = _sample_weights(params, seed)
     if generator == "reference":
-        links = _links_reference(x, y, seed)
+        indptr, actors = _links_reference(x, y, seed)
     elif generator == "fast":
-        links = _links_fast(x, y, seed)
+        indptr, actors = _links_fast(x, y, seed)
     else:
         raise ValueError(f"generator must be 'reference' or 'fast', got {generator!r}")
-    return BipartiteSample(x, y, tuple(links), seed)
+    return BipartiteSample(x, y, indptr, actors, seed)
 
 
 @dataclass(frozen=True)
@@ -258,21 +273,7 @@ def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> ProjectedGraph:
         eu, ev = np.divmod(keys, n)
         # Both orientations, ordered by (row, column).
         keys = np.sort(np.concatenate([keys, ev * np.int64(n) + eu]))
-    src, dst = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return ProjectedGraph(n, indptr, dst)
-
-
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _pairs_of(d: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _TRIU_CACHE.get(d)
-    if got is None:
-        got = np.triu_indices(d, 1)
-        _TRIU_CACHE[d] = got
-    return got
+    return ProjectedGraph(n, *_rows_csr(keys, n, n))
 
 
 def project(sample: BipartiteSample,
@@ -284,24 +285,21 @@ def project(sample: BipartiteSample,
     link multiset.  Raises :class:`EdgeBudgetError` before materialising more
     candidate pairs than ``edge_budget``.
     """
-    sizes = [a.size for a in sample.links]
-    total_pairs = sum(d * (d - 1) // 2 for d in sizes)
+    indptr, actors = sample.indptr, sample.actors
+    sizes = np.diff(indptr)
+    total_pairs = int((sizes * (sizes - 1) // 2).sum())
     if edge_budget is not None and total_pairs > edge_budget:
         raise EdgeBudgetError(
             f"projection would enumerate {total_pairs} candidate pairs, "
             f"exceeding the budget of {edge_budget}")
-    u = np.empty(total_pairs, dtype=np.int64)
-    v = np.empty(total_pairs, dtype=np.int64)
-    at = 0
-    for actors, d in zip(sample.links, sizes):
-        if d < 2:
-            continue
-        iu, iv = _pairs_of(d)
-        c = iu.size
-        u[at:at + c] = actors[iu]
-        v[at:at + c] = actors[iv]
-        at += c
-    return graph_from_edges(sample.n, u[:at], v[:at])
+    # The link at position p pairs with the `later` links after it in its
+    # row, positions p + 1 .. p + later[p]: one ragged arange over all rows.
+    ahead = np.arange(1, actors.size + 1)
+    later = np.repeat(indptr[1:], sizes) - ahead
+    partner = np.repeat(ahead - (np.cumsum(later) - later), later)
+    partner += np.arange(total_pairs)
+    partner = actors[partner]  # drops the positions: two pair-sized arrays, not three
+    return graph_from_edges(sample.n, np.repeat(actors, later), partner)
 
 
 def write_edge_list(g: ProjectedGraph, file) -> None:

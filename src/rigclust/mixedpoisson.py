@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .weights import Degenerate, DomainError, Finite, Pareto, WeightLaw
 
@@ -174,10 +173,6 @@ class MixingSpec:
         # The tilt must be normalisable.
         self.weight_law.moment(self.bias_order)
 
-    def rate_moment(self, r: int) -> float:
-        """E[(scale * W) ** r], in closed form from the weight law."""
-        return self.scale**r * self.weight_law.moment(r)
-
 
 def mixing_spec(params: "ModelParams", role: str, bias_order: int = 0) -> MixingSpec:
     """Mixing spec for the two local count laws of the model.
@@ -214,6 +209,7 @@ def _poisson_rows(rates: np.ndarray, s_lo: int, s_hi: int,
 
 def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
     """P(Poisson(rate) > k_max) via the regularized lower incomplete gamma."""
+    from scipy.special import gammainc  # lazy: `stats` and `simulate` never need scipy
     return gammainc(k_max + 1, rates)
 
 
@@ -232,6 +228,7 @@ def _support_window(rate_lo: float, rate_hi: float, k_max: int) -> tuple[int, in
 
 def _log_factorials(k_max: int) -> np.ndarray:
     """log(s!) for s = 0..k_max via the log-gamma function."""
+    from scipy.special import gammaln
     return gammaln(np.arange(1.0, k_max + 2.0))
 
 

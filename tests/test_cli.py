@@ -309,6 +309,37 @@ def test_stats_missing_file(tmp_path, capsys):
     assert "cannot read" in err and "Traceback" not in err
 
 
+#: A Latin-1 comment line, which is not valid UTF-8.
+NOT_UTF8 = "# caf\xe9\n0 1\n".encode("latin-1")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["stats", "--edges", "{path}"], EXIT_DATA),
+    (["fit-delta", "{path}", "--window", "1", "9"], EXIT_DATA),
+    (["theory", "--config", "{path}"], EXIT_USAGE),
+], ids=["stats", "fit-delta", "config"])
+def test_input_that_is_not_utf8_gets_one_line(tmp_path, capsys, argv, code):
+    path = tmp_path / "input.txt"
+    path.write_bytes(NOT_UTF8)
+    got, out, err = run_main([a.format(path=path) for a in argv], capsys)
+    assert got == code and out == ""
+    assert err.startswith(f"error: cannot read {'config ' if code == EXIT_USAGE else ''}{path}")
+    assert err.count("\n") == 1
+
+
+def test_stats_imports_no_scipy(tmp_path):
+    # scipy is only needed by the theory; `stats` must not pay for its import.
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n0 2\n1 2\n")
+    script = ("import sys, rigclust.cli\n"
+              f"code = rigclust.cli.main(['stats', '--edges', {str(path)!r}])\n"
+              "print([m for m in sys.modules if m.startswith('scipy')], code)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().split("\n")[-1] == "[] 0"
+
+
 # ---------------------------------------------------------------------------
 # Usage errors and the module entry point
 # ---------------------------------------------------------------------------

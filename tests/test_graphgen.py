@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -28,8 +29,14 @@ def tiny_params(n=5, m=5, beta=1.0, x=1.2, y=0.9):
 
 def make_sample(n, links):
     """Hand-built sample: weights are irrelevant once links are fixed."""
-    arrays = tuple(np.asarray(a, dtype=np.int64) for a in links)
-    return gg.BipartiteSample(np.ones(len(arrays)), np.ones(n), arrays, seed=0)
+    indptr = np.cumsum([0] + [len(a) for a in links])
+    actors = np.array([v for a in links for v in a], dtype=np.int64)
+    return gg.BipartiteSample(np.ones(len(links)), np.ones(n), indptr, actors, seed=0)
+
+
+def link_rows(indptr, actors):
+    """The per-attribute actor arrays of a CSR."""
+    return np.split(actors, indptr[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -49,20 +56,48 @@ def test_sample_is_deterministic_in_seed():
         assert not all(np.array_equal(a, b) for a, b in zip(s1.links, s3.links))
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (11, "212ae97d9690c03ad317dbf6e22bd0a506dc513bb78ab4441767e60f596cf920"),
-    (2**63 + 11, "a2f5951672fe07da38ae60f7b1c078c228c51514b0be4574cec2276c8aa967ad"),
-])
-def test_reference_links_are_pinned(seed, digest):
+LINK_PINS = [  # (generator, n = m, seed, sha256 of the link rows)
+    ("reference", 300, 11, "212ae97d9690c03ad317dbf6e22bd0a506dc513bb78ab4441767e60f596cf920"),
+    ("reference", 300, 2**63 + 11,
+     "a2f5951672fe07da38ae60f7b1c078c228c51514b0be4574cec2276c8aa967ad"),
+    ("fast", 300, 11, "7380d57953876dae834d66f8a939d989cd93e1be6a21deccd421daff0a4115e8"),
+    ("fast", 300, 2**63 + 11, "bd4fe7ab888180a52868862c9be7979a1022b7d693cf55e67ec415752572f8ed"),
+    ("fast", 20000, 11, "33d84b3c68e44c27f30878c02cd03d5b95263295d7024d930322e4968de6edc6"),
+]
+
+
+@pytest.mark.parametrize("generator, n, seed, digest", LINK_PINS,
+                         ids=[f"{seed}-{digest}" for _, _, seed, digest in LINK_PINS])
+def test_reference_links_are_pinned(generator, n, seed, digest):
     # Row i of the reference scan reads the Philox stream keyed by
-    # (seed, _STREAM_REF | i); these digests pin those bytes, including a
-    # seed at or above 2**63.
-    params = ModelParams(300, 300, 1.0, Pareto(1, 7), Pareto(1, 6))
+    # (seed, _STREAM_REF | i), and each block of the fast sampler the stream
+    # keyed by (seed, _STREAM_FAST | block id); these digests pin those
+    # bytes, including a seed at or above 2**63 and, at n = m = 20000, a fast
+    # sample drawn in many row chunks.
+    params = ModelParams(n, n, 1.0, Pareto(1, 7), Pareto(1, 6))
     h = hashlib.sha256()
-    for row in sample_bipartite(params, seed, "reference").links:
+    for row in sample_bipartite(params, seed, generator).links:
         h.update(np.int64(row.size).tobytes())
         h.update(row.astype("<i8").tobytes())
     assert h.hexdigest() == digest
+
+
+def test_projection_is_pinned():
+    params = ModelParams(20000, 20000, 1.0, Pareto(1, 7), Pareto(1, 6))
+    g = project(sample_bipartite(params, 11, "fast"))
+    h = hashlib.sha256(g.indptr.astype("<i8").tobytes())
+    h.update(g.neighbors.astype("<i8").tobytes())
+    assert h.hexdigest() == "dfdbc5abceca2a5b1fe408f82dcc0cd627b7f2d0d50a5b8d6bc118bc12c20fcf"
+
+
+def test_links_view_is_read_only_csr():
+    params = ModelParams(40, 30, 1.0, Pareto(1, 7), Pareto(1, 6))
+    s = sample_bipartite(params, 3, "fast")
+    assert s.indptr.dtype == s.actors.dtype == np.int64
+    assert s.indptr.size == params.m + 1 and s.indptr[-1] == s.actors.size
+    assert all(np.array_equal(a, b) for a, b in zip(s.links, link_rows(s.indptr, s.actors)))
+    with pytest.raises(ValueError):
+        s.links[int(np.argmax(np.diff(s.indptr)))][0] = 0
 
 
 def test_generators_share_weight_streams():
@@ -184,8 +219,8 @@ def test_bucket_candidates_at_vanishing_probability():
         rng = np.random.default_rng(seed)
         for p in (1e-18, 1e-300):
             assert gg._bucket_candidates(rng, 10, p).size == 0
-    links = gg._links_fast(np.full(3, 1e-150), np.full(4, 1e-150), seed=1)
-    assert [row.size for row in links] == [0, 0, 0]
+    indptr, actors = gg._links_fast(np.full(3, 1e-150), np.full(4, 1e-150), seed=1)
+    assert np.array_equal(indptr, [0, 0, 0, 0]) and actors.size == 0
 
 
 def test_bucket_candidates_are_iid_bernoulli():
@@ -204,10 +239,11 @@ def test_bucket_candidates_are_iid_bernoulli():
     assert chi2.sf(stat, df=size) > 1e-3
 
 
-def assert_link_rows(links, n, m):
-    assert len(links) == m
-    for row in links:
-        assert row.dtype == np.int64
+def assert_link_rows(csr, n, m):
+    indptr, actors = csr
+    assert indptr.dtype == actors.dtype == np.int64
+    assert indptr.size == m + 1 and indptr[0] == 0 and indptr[-1] == actors.size
+    for row in link_rows(indptr, actors):
         assert np.all(np.diff(row) > 0)  # sorted and unique
         assert row.size == 0 or (0 <= row[0] and row[-1] < n)
 
@@ -228,11 +264,10 @@ def test_fast_links_match_pair_probabilities_exactly(monkeypatch):
     row_offsets = np.arange(m) * n
     counts = np.zeros(n * m, dtype=np.int64)
     for seed in range(n_seeds):
-        links = gg._links_fast(x, y, seed)
+        indptr, actors = gg._links_fast(x, y, seed)
         if seed < 50:
-            assert_link_rows(links, n, m)
-        sizes = [row.size for row in links]
-        counts += np.bincount(np.concatenate(links) + np.repeat(row_offsets, sizes),
+            assert_link_rows((indptr, actors), n, m)
+        counts += np.bincount(actors + np.repeat(row_offsets, np.diff(indptr)),
                               minlength=n * m)
     counts = counts.reshape(m, n)
     full = p == 1.0
@@ -248,8 +283,9 @@ def test_fast_generator_skips_nonpositive_weight():
     x = np.array([0.0, 30.0, 0.0, 5.0, 30.0])
     y = np.array([30.0, 0.0, 7.0, 0.0, 30.0, 0.0])
     for seed in range(20):
-        links = gg._links_fast(x, y, seed)
-        assert_link_rows(links, y.size, x.size)
+        csr = gg._links_fast(x, y, seed)
+        assert_link_rows(csr, y.size, x.size)
+        links = link_rows(*csr)
         assert links[0].size == 0 and links[2].size == 0
         for row in links:
             assert not np.isin(row, [1, 3, 5]).any()
@@ -288,6 +324,18 @@ def test_project_edge_budget():
         project(make_sample(100, links), edge_budget=1000)
     g = project(make_sample(100, links), edge_budget=None)
     assert g.n_edges == 100 * 99 // 2
+
+
+def test_project_equals_clique_union():
+    # The loop-free pair enumeration against the union of every attribute's
+    # clique, built pair by pair; heavy weights give rows of many sizes.
+    params = ModelParams(60, 40, 1.0, Pareto(1, 2.5), Pareto(1, 2.5))
+    for seed in range(5):
+        sample = sample_bipartite(params, seed, "fast")
+        pairs = {pair for row in sample.links
+                 for pair in itertools.combinations(row.tolist(), 2)}
+        eu, ev = project(sample).edge_array()
+        assert list(zip(eu.tolist(), ev.tolist())) == sorted(pairs)
 
 
 def test_projected_graph_invariants():
