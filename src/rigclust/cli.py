@@ -121,7 +121,7 @@ def _cmd_compare(args) -> int:
     gaps = [r["C_gap"] for r in report.rows if r["C_gap"] is not None]
     print(f"config {config_hash(config)[:12]}: "
           f"{config.replicates - len(report.failed)}/{config.replicates} replicates, "
-          f"max |C_hat - C_pred| = {max(gaps):.4f}" if gaps else "no overlapping degrees")
+          + (f"max |C_hat - C_pred| = {max(gaps):.4f}" if gaps else "no overlapping degrees"))
     if report.delta_fit is not None:
         line = (f"fitted delta = {report.delta_fit.slope:+.3f} "
                 f"(r^2 = {report.delta_fit.r_squared:.3f}, "

@@ -444,7 +444,6 @@ class Simulation(NamedTuple):
 def simulate(config: ExperimentConfig, workers: int = 1) -> Simulation:
     """Run every replicate and pool the spectra; no theory is built."""
     results = _run_replicates(config, workers)
-    results.sort(key=lambda t: t[0])
     spectra = [spec for _, spec, _ in results]
     failed = [{"replicate": i, "error": err} for i, _, err in results if err]
     good = [s for s in spectra if s is not None]
@@ -512,7 +511,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> ComparisonReport:
                 pts.append((k, ratio_from_coefficient(config.params.beta, C_hat)))
         try:
             delta_fit = fit_delta(pts, window)
-            n_points = sum(1 for k, _ in pts if window[0] <= k <= window[1])
+            n_points = len(pts)
         except ValueError:
             delta_fit = None
             window = None

@@ -110,11 +110,13 @@ def _sample_weights(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndar
 
 
 def _rows_csr(keys: np.ndarray, rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, columns) of sorted ``row * n + column`` keys over `rows` rows."""
-    row, col = np.divmod(keys, n)
+    """(indptr, columns) of sorted ``row * n + column`` keys over `rows` rows.
+
+    The columns are written over ``keys``, so pass an array nothing else uses.
+    """
     indptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=rows), out=indptr[1:])
-    return indptr, col
+    np.cumsum(np.bincount(keys // n, minlength=rows), out=indptr[1:])
+    return indptr, np.remainder(keys, n, out=keys)
 
 
 def _links_reference(x: np.ndarray, y: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,8 +212,6 @@ def _links_fast(x: np.ndarray, y: np.ndarray, seed: int) -> tuple[np.ndarray, np
 def sample_bipartite(params: ModelParams, seed: int,
                      generator: str = "reference") -> BipartiteSample:
     """Draw weights and links; deterministic in (params, seed, generator)."""
-    if params.n < 1 or params.m < 1:
-        raise ValueError("need n, m >= 1")
     x, y = _sample_weights(params, seed)
     if generator == "reference":
         indptr, actors = _links_reference(x, y, seed)
@@ -256,23 +256,20 @@ class ProjectedGraph:
 def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> ProjectedGraph:
     """Build the CSR graph from endpoint arrays; dedupes and drops loops.
 
-    Edges are handled as sorted ``row * n + column`` keys, so n must stay
-    below about 3e9 (n**2 < 2**63).
+    Each edge is keyed in both orientations as ``row * n + column``, so n
+    must stay below about 3e9 (n**2 < 2**63).  One sort of those keys orders
+    them by (row, column), and dropping adjacent repeats dedupes them.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    keys = np.empty(0, dtype=np.int64)
-    if u.size:
-        if int(max(u.max(), v.max())) >= n or int(min(u.min(), v.min())) < 0:
-            raise ValueError("edge endpoint outside [0, n)")
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        keep = lo != hi
-        keys = np.sort(lo[keep] * np.int64(n) + hi[keep])
-        keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
-        eu, ev = np.divmod(keys, n)
-        # Both orientations, ordered by (row, column).
-        keys = np.sort(np.concatenate([keys, ev * np.int64(n) + eu]))
+    if u.size and (int(max(u.max(), v.max())) >= n or int(min(u.min(), v.min())) < 0):
+        raise ValueError("edge endpoint outside [0, n)")
+    keep = u != v
+    keys = np.concatenate([(u * np.int64(n) + v)[keep], (v * np.int64(n) + u)[keep]])
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]  # rebinding frees the keys with repeats before _rows_csr
     return ProjectedGraph(n, *_rows_csr(keys, n, n))
 
 

@@ -229,6 +229,17 @@ def test_compare_writes_report_and_summary(tmp_path, capsys):
     assert (out / "report.csv").exists() and (out / "runinfo.json").exists()
 
 
+def test_compare_summary_without_overlapping_degrees(tmp_path, capsys):
+    code, stdout, _ = run_main(
+        ["compare", "--n", "60", "--m", "60", "--beta", "1", "--x-law", "pareto(1,7)",
+         "--y-law", "pareto(1,6)", "--k-min", "16", "--k-max", "18", "--replicates", "2",
+         "--output-dir", str(tmp_path / "cmp")], capsys)
+    assert code == EXIT_OK
+    meta = json.loads((tmp_path / "cmp" / "report.json").read_text())
+    assert stdout.splitlines()[0] == (
+        f"config {meta['config_hash'][:12]}: 2/2 replicates, no overlapping degrees")
+
+
 def test_budget_abort_exit_code(tmp_path, capsys):
     code, _, err = run_main(
         ["compare", *BASE, "--edge-budget", "1",

@@ -4,6 +4,8 @@ import hashlib
 import io
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -366,6 +368,42 @@ def test_graph_from_edges_dedupes_and_drops_loops():
     assert np.array_equal(g.neighbor_list(1), [0, 2])
     eu, ev = g.edge_array()
     assert list(zip(eu.tolist(), ev.tolist())) == [(0, 1), (1, 2)]
+    # The CSR columns are written in place, but never into the caller's arrays.
+    u.setflags(write=False)
+    v.setflags(write=False)
+    again = graph_from_edges(4, u, v)
+    assert np.array_equal(again.indptr, g.indptr)
+    assert np.array_equal(again.neighbors, g.neighbors)
+    loops = graph_from_edges(5, [3, 1], [3, 1])
+    assert loops.n_edges == 0
+    assert np.array_equal(loops.indptr, np.zeros(6))
+
+
+def test_project_memory_per_candidate_pair():
+    # 211 attributes of 200 distinct actors out of 10**6: 4,198,900 candidate
+    # pairs.  ru_maxrss is read in KiB, as Linux reports it.  A new process
+    # starts its ru_maxrss at the RSS of the process that spawned it, so the
+    # measuring process is spawned by a small hop, not by this one.
+    script = """
+import resource
+import numpy as np
+from rigclust.graphgen import BipartiteSample, project
+rows, width, n = 211, 200, 10**6
+rng = np.random.default_rng(11)
+actors = np.concatenate([np.sort(rng.choice(n, width, replace=False)) for _ in range(rows)])
+sample = BipartiteSample(np.ones(rows), np.ones(n), np.arange(rows + 1) * width, actors, 11)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+g = project(sample, None)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024, g.n_edges)
+"""
+    hop = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    proc = subprocess.run([sys.executable, "-c", hop, sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    grown, edges = map(int, proc.stdout.split())
+    pairs = 211 * 200 * 199 // 2
+    assert 0 < edges <= pairs
+    assert grown <= 64 * pairs, f"{grown / pairs:.1f} bytes per candidate pair"
 
 
 def test_graph_from_edges_matches_set_built_csr():
