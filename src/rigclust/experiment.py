@@ -155,6 +155,8 @@ class ExperimentConfig:
             raise UsageError("simulation needs n, m >= 3")
         if not 0.0 < self.tol < 1.0:  # also rejects nan
             raise UsageError(f"tol must be in (0, 1), got {self.tol!r}")
+        if self.pmf_k_max < 1:
+            raise UsageError("pmf_k_max must be >= 1")
 
 
 def _int(key, v):

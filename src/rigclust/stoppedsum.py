@@ -10,8 +10,9 @@ direct mixture-of-convolution-powers loop
 truncating the count where its remaining probability drops below ``tol`` and
 pushing every neglected or out-of-grid contribution into the tail bound, so
 the result is a valid :class:`~rigclust.mixedpoisson.Pmf` whose tail interval
-is honest.  The loop is O(n_count * k_max^2) in the worst case but each
-convolution is a single C-level ``numpy.convolve``.
+is honest.  The loop stops as soon as no later term can change a bit of the
+accumulated pmf, which on a wide grid comes long before the count runs out;
+each convolution is a single C-level ``numpy.convolve``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,13 @@ def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
     count probability joins the tail bound, as do the summand tail bounds
     (i per convolution power) and any convolution mass beyond the grid.
 
+    The loop stops before term i once P(i <= N <= n_cut) * G is below a
+    quarter of the smallest spacing of the accumulated pmf, with G the grid
+    mass of tau^{*(i-1)}; no later addition could then change a bit, so the
+    mass is the one the full loop gives.  The skipped terms add
+    P(i <= N <= n_cut) * (tail of tau^{*(i-1)} + (n_cut - i + 1) * summand
+    tail + G) to the tail bound, an upper bound on what the full loop adds.
+
     The default grid covers the full sum support ``count.k_max *
     summand.k_max``, as in :func:`convolve`.
     """
@@ -95,6 +103,8 @@ def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
             break
     remaining = float(suffix[n_cut + 1]) + count.tail_mass
 
+    within = np.cumsum(count.mass[n_cut::-1])[::-1]  # P(i <= N <= n_cut)
+
     acc = np.zeros(k_max + 1)
     acc[0] = count.mass[0]  # the empty sum
     acc_tail = remaining
@@ -103,6 +113,21 @@ def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
     power[0] = 1.0
     power_tail = 0.0
     for i in range(1, n_cut + 1):
+        # Each later addition w_j * tau^{*j}[s] is at most within[i] * grid:
+        # summands are >= 0 and sum(tau) <= 1, so the grid mass of the powers
+        # never grows.  acc only grows, so its spacing does too, and
+        # fl(a + x) = a for 0 <= x < ulp(a)/2: every skipped addition would
+        # be a no-op.  The factor 0.25 absorbs rounding in the product and the
+        # 1e-9 normalization slack of Pmf.  A zero in acc has spacing 5e-324,
+        # so the stop cannot fire while one remains.  The skipped tail terms
+        # sum to at most within[i] * (power_tail + (n_cut - i + 1) * summand
+        # tail + grid): the mass pushed off the grid telescopes to <= grid.
+        grid = float(power.sum()) * (1 + 1e-12)
+        later = float(within[i])
+        if later * grid < 0.25 * np.spacing(acc).min():
+            acc_tail += later * (power_tail + (n_cut - i + 1) * summand.tail_mass
+                                 + grid)
+            break
         power, pushed = _convolve_raw(power, summand.mass, k_max)
         power_tail += summand.tail_mass + pushed
         w = count.mass[i]

@@ -170,6 +170,17 @@ def test_tol_outside_unit_interval_exit_one(capsys, tol):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["theory", "compare"])
+@pytest.mark.parametrize("pmf_k_max", ["0", "-5"])
+def test_pmf_k_max_below_one_exit_one(tmp_path, capsys, command, pmf_k_max):
+    code, out, err = run_main(
+        [command, *BASE, "--k-min", "3", "--k-max", "5",
+         f"--pmf-k-max={pmf_k_max}", "--output-dir", str(tmp_path / "out")],
+        capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: pmf_k_max must be >= 1\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_zero_workers_exit_one(tmp_path, capsys, monkeypatch, command):
     def no_theory(*args, **kwargs):

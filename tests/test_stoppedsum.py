@@ -9,13 +9,18 @@ from scipy.stats import poisson
 from rigclust import (
     Degenerate,
     MixingSpec,
+    ModelParams,
     Pmf,
     StoppedSumSpec,
     convolve,
+    mixing_spec,
+    parse_law,
     pmf_mixed_poisson,
+    pmf_offspring,
     pmf_stopped_sum,
     tail_from_pmf,
 )
+from rigclust import stoppedsum
 
 
 def brute_convolve(p: Pmf, q: Pmf, k_max: int) -> np.ndarray:
@@ -36,6 +41,43 @@ def brute_stopped_sum(count: Pmf, summand: Pmf, k_max: int) -> np.ndarray:
         out += count.mass[i] * power[: k_max + 1]
         power = np.convolve(power, summand.mass)[: k_max + 1 + summand.k_max]
     return out
+
+
+def _full_loop(count: Pmf, summand: Pmf, k_max: int, tol: float) -> Pmf:
+    """pmf_stopped_sum without the early stop: every count term up to the
+    truncation point is convolved and added."""
+    suffix = np.concatenate([np.cumsum(count.mass[::-1])[::-1], [0.0]])
+    n_cut = count.mass.size - 1
+    for i in range(n_cut + 1):
+        if suffix[i + 1] + count.tail_mass < tol:
+            n_cut = i
+            break
+    acc = np.zeros(k_max + 1)
+    acc[0] = count.mass[0]
+    acc_tail = float(suffix[n_cut + 1]) + count.tail_mass
+    power = np.zeros(k_max + 1)
+    power[0] = 1.0
+    power_tail = 0.0
+    for i in range(1, n_cut + 1):
+        power, pushed = stoppedsum._convolve_raw(power, summand.mass, k_max)
+        power_tail += summand.tail_mass + pushed
+        w = count.mass[i]
+        if w != 0.0:
+            acc += w * power
+            acc_tail += w * power_tail
+    return Pmf(acc, stoppedsum._clip_tail(acc, acc_tail))
+
+
+def law_pair(x_law: str, y_law: str) -> ModelParams:
+    return ModelParams(n=100, m=100, beta=1.0, x_law=parse_law(x_law),
+                       y_law=parse_law(y_law))
+
+
+def actor_stopped_sum(params: ModelParams, order: int, k_max: int) -> StoppedSumSpec:
+    """The order-r actor count and offspring summand of the limit laws."""
+    return StoppedSumSpec(
+        pmf_mixed_poisson(mixing_spec(params, "actor", order), k_max, 1e-10),
+        pmf_offspring(params, k_max, 1e-10))
 
 
 def neyman_type_a(mu: float, lam: float, k_max: int, terms: int = 400) -> np.ndarray:
@@ -184,6 +226,44 @@ def test_count_truncation_goes_to_tail():
     res = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max=20, tol=1e-12)
     assert float(res.mass[:21].sum()) == pytest.approx(21.0 / 51.0, rel=1e-12)
     assert res.tail_mass == pytest.approx(30.0 / 51.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# pmf_stopped_sum: the early stop against the full loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k_max", [512, 1024])
+@pytest.mark.parametrize("order", [1, 2])
+def test_early_stop_keeps_mass_bits(order, k_max):
+    # The theory-dense laws: the loop stops long before the count grid ends.
+    spec = actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), order, k_max)
+    res = pmf_stopped_sum(spec, k_max, 1e-10)
+    full = _full_loop(spec.count, spec.summand, k_max, 1e-10)
+    assert np.array_equal(res.mass, full.mass)
+    assert full.tail_mass * (1 - 1e-12) <= res.tail_mass <= full.tail_mass + 1e-15
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_count_truncation_before_stop_is_bit_identical(order):
+    spec = actor_stopped_sum(law_pair("pareto(1,7)", "pareto(1,6)"), order, 128)
+    res = pmf_stopped_sum(spec, 128, 1e-10)
+    full = _full_loop(spec.count, spec.summand, 128, 1e-10)
+    assert np.array_equal(res.mass, full.mass)
+    assert res.tail_mass == full.tail_mass
+
+
+def test_early_stop_skips_most_convolutions(monkeypatch):
+    spec = actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), 2, 1024)
+    calls = []
+    convolve_raw = stoppedsum._convolve_raw
+
+    def counting(*args):
+        calls.append(1)
+        return convolve_raw(*args)
+
+    monkeypatch.setattr(stoppedsum, "_convolve_raw", counting)
+    pmf_stopped_sum(spec, 1024, 1e-10)
+    assert len(calls) <= 240  # the full loop convolves all 1024 count terms
 
 
 def test_tail_from_pmf():
