@@ -28,7 +28,6 @@ from .stoppedsum import StoppedSumSpec, convolve, pmf_stopped_sum, tail_from_pmf
 from .theory import (
     Interval,
     LimitLaws,
-    LimitTerms,
     ModelParams,
     adaptive_limit_laws,
     attribute_tail_asymptotic,

@@ -40,7 +40,7 @@ from .experiment import (
     write_replicates,
 )
 from .graphgen import EdgeBudgetError
-from .mixedpoisson import QuadratureError, text_file
+from .mixedpoisson import QuadratureError, write_csv
 from .spectrum import (DataFormatError, clustering_spectrum, read_edge_list,
                        write_spectrum_csv)
 from .theory import pareto_delta, theory_curve
@@ -82,14 +82,9 @@ def _cmd_theory(args) -> int:
     config = _config_from_args(args)
     rows = theory_curve(config.params, range(config.k_min, config.k_max + 1),
                         config.pmf_k_max, config.tol)
-    with text_file(args.out or sys.stdout, "w") as out:
-        out.write("k,a,b,A_lo,A_hi,B_lo,B_hi,c_pred,C_pred_lo,C_pred_hi\n")
-        for r in rows:
-            cells = [str(r.k)]
-            for v in (r.a, r.b, r.A.lo, r.A.hi, r.B.lo, r.B.hi,
-                      r.c_pred, r.C_pred.lo, r.C_pred.hi):
-                cells.append("" if v is None else repr(float(v)))
-            out.write(",".join(cells) + "\n")
+    header = "k,a,b,A_lo,A_hi,B_lo,B_hi,c_pred,C_pred_lo,C_pred_hi".split(",")
+    write_csv(args.out or sys.stdout, header,
+              [(r.k, r.a, r.b, *r.A, *r.B, r.c_pred, *r.C_pred) for r in rows])
     d = pareto_delta(config.params)
     if d is not None and d < 0:
         print(f"note: tail-weight exponent delta = {d:g} is negative "

@@ -40,6 +40,7 @@ from .graphgen import (
     project,
     sample_bipartite,
 )
+from .mixedpoisson import write_csv
 from .spectrum import ClusteringSpectrum, clustering_spectrum, pool, write_spectrum_csv
 from .theory import (
     DEFAULT_K_MAX,
@@ -61,6 +62,7 @@ __all__ = [
     "law_to_str",
     "read_config",
     "build_config",
+    "canonical_config_text",
     "config_hash",
     "replicate_seed",
     "Simulation",
@@ -157,6 +159,8 @@ class ExperimentConfig:
             raise UsageError(f"tol must be in (0, 1), got {self.tol!r}")
         if self.pmf_k_max < 1:
             raise UsageError("pmf_k_max must be >= 1")
+        if self.edge_budget < 0:
+            raise UsageError("edge_budget must be >= 0")
 
 
 def _int(key, v):
@@ -284,14 +288,14 @@ def fit_delta(points, window: tuple[float, float]) -> FitResult:
     """Least squares of log(value) on log(k) within the inclusive window.
 
     ``points`` is an iterable of (k, value); needs at least three in-window
-    points, all with k > 0 and value > 0.
+    points, all with k and value positive and finite.
     """
     lo, hi = window
     ks, vs = [], []
     for k, v in points:
         if lo <= k <= hi:
-            if k <= 0 or v <= 0:
-                raise ValueError(f"log-log fit needs positive data, got ({k}, {v})")
+            if not (0 < k < math.inf and 0 < v < math.inf):
+                raise ValueError(f"log-log fit needs positive finite data, got ({k}, {v})")
             ks.append(math.log(k))
             vs.append(math.log(v))
     if len(ks) < 3:
@@ -399,10 +403,8 @@ class ComparisonReport:
 
     def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as f:
-            f.write(",".join(REPORT_COLUMNS) + "\n")
-            for row in self.rows:
-                f.write(",".join(_csv_cell(row[name]) for name in REPORT_COLUMNS) + "\n")
+        write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS,
+                  [[row[name] for name in REPORT_COLUMNS] for row in self.rows])
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
             json.dump(self.to_json_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
@@ -417,14 +419,6 @@ class ComparisonReport:
 def _scipy_version() -> str:
     import scipy
     return scipy.__version__
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
 
 
 def _se(values: list) -> float | None:

@@ -54,6 +54,7 @@ __all__ = [
     "pmf_offspring",
     "sample_biased",
     "text_file",
+    "write_csv",
 ]
 
 #: Tolerance on |sum(mass) + tail_mass - 1| accepted by Pmf.validate.
@@ -67,6 +68,25 @@ def text_file(file, mode: str):
     if isinstance(file, (str, os.PathLike)):
         return open(file, mode, encoding="utf-8")
     return contextlib.nullcontext(file)
+
+
+def write_csv(file, header, rows) -> None:
+    """Write a header line and one line per row to a path or an open text
+    file.  A cell is empty for None, kept as it is for a ``str``, written as
+    ``str(int(v))`` for an integer and as ``repr(float(v))`` otherwise."""
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
+
+    with text_file(file, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(cell, row)) + "\n")
 
 
 class QuadratureError(RuntimeError):
@@ -130,11 +150,8 @@ class Pmf:
 
     def to_csv(self, file) -> None:
         """Write rows ``s,mass`` plus a trailing ``tail_mass`` record."""
-        with text_file(file, "w") as f:
-            f.write("s,mass\n")
-            for s, p in enumerate(self.mass):
-                f.write(f"{s},{float(p)!r}\n")
-            f.write(f"tail_mass,{float(self.tail_mass)!r}\n")
+        write_csv(file, ("s", "mass"),
+                  [*enumerate(self.mass), ("tail_mass", self.tail_mass)])
 
     @classmethod
     def from_csv(cls, file) -> "Pmf":
@@ -272,14 +289,6 @@ def _panel_widths(w: float, scale: float, ridge_end: float) -> float:
     return 0.5 * w
 
 
-class _PanelAccumulator:
-    def __init__(self, k_max: int, tol: float):
-        self.mass = np.zeros(k_max + 1)
-        self.tail = 0.0
-        self.err = 0.0
-        self.tol = tol
-
-
 def _pareto_panel(x0: float, a: float, scale: float, lo: float, hi: float,
                   k_max: int, log_fact: np.ndarray) -> tuple[int, np.ndarray, float]:
     """Gauss-Legendre estimate of the mixture integral over one panel."""
@@ -300,37 +309,6 @@ def _pareto_panel(x0: float, a: float, scale: float, lo: float, hi: float,
     return s_lo, mass_slice, tail
 
 
-def _refine_panel(x0, a, scale, lo, hi, budget, depth, k_max, log_fact,
-                  acc: _PanelAccumulator) -> None:
-    s_lo_p, mass_p, tail_p = _pareto_panel(x0, a, scale, lo, hi, k_max, log_fact)
-    mid = 0.5 * (lo + hi)
-    s_lo_1, mass_1, tail_1 = _pareto_panel(x0, a, scale, lo, mid, k_max, log_fact)
-    s_lo_2, mass_2, tail_2 = _pareto_panel(x0, a, scale, mid, hi, k_max, log_fact)
-
-    # Children windows nest inside the parent's; compare on the parent window.
-    fine = np.zeros_like(mass_p)
-    if mass_1.size:
-        fine[s_lo_1 - s_lo_p:s_lo_1 - s_lo_p + mass_1.size] += mass_1
-    if mass_2.size:
-        fine[s_lo_2 - s_lo_p:s_lo_2 - s_lo_p + mass_2.size] += mass_2
-    err_mass = float(np.max(np.abs(fine - mass_p))) if mass_p.size else 0.0
-    err = max(err_mass, abs(tail_1 + tail_2 - tail_p))
-
-    if err <= budget or depth >= _MAX_DEPTH:
-        if mass_p.size:
-            acc.mass[s_lo_p:s_lo_p + fine.size] += fine
-        acc.tail += tail_1 + tail_2
-        acc.err += err
-        # The bound only grows, so fail as soon as it passes tol.
-        if acc.err > acc.tol:
-            raise QuadratureError(
-                f"panel refinement reached depth {_MAX_DEPTH} with accumulated "
-                f"error bound {acc.err:.3e} > tol {acc.tol:.3e}", achieved=acc.err)
-        return
-    _refine_panel(x0, a, scale, lo, mid, 0.5 * budget, depth + 1, k_max, log_fact, acc)
-    _refine_panel(x0, a, scale, mid, hi, 0.5 * budget, depth + 1, k_max, log_fact, acc)
-
-
 def _pareto_mixture(law: Pareto, scale: float, r: int, k_max: int,
                     tol: float) -> tuple[np.ndarray, float]:
     biased = law.size_biased(r)
@@ -349,34 +327,52 @@ def _pareto_mixture(law: Pareto, scale: float, r: int, k_max: int,
     n_panels = len(edges) - 1
 
     log_fact = _log_factorials(k_max)
-    acc = _PanelAccumulator(k_max, tol)
+    mass = np.zeros(k_max + 1)
+    tail = err = 0.0
+
+    def refine(lo: float, hi: float, budget: float, depth: int) -> None:
+        nonlocal tail, err
+        s_lo_p, mass_p, tail_p = _pareto_panel(x0, a, scale, lo, hi, k_max, log_fact)
+        mid = 0.5 * (lo + hi)
+        s_lo_1, mass_1, tail_1 = _pareto_panel(x0, a, scale, lo, mid, k_max, log_fact)
+        s_lo_2, mass_2, tail_2 = _pareto_panel(x0, a, scale, mid, hi, k_max, log_fact)
+
+        # Children windows nest inside the parent's; compare on the parent window.
+        fine = np.zeros_like(mass_p)
+        if mass_1.size:
+            fine[s_lo_1 - s_lo_p:s_lo_1 - s_lo_p + mass_1.size] += mass_1
+        if mass_2.size:
+            fine[s_lo_2 - s_lo_p:s_lo_2 - s_lo_p + mass_2.size] += mass_2
+        err_mass = float(np.max(np.abs(fine - mass_p))) if mass_p.size else 0.0
+        panel_err = max(err_mass, abs(tail_1 + tail_2 - tail_p))
+
+        if panel_err <= budget or depth >= _MAX_DEPTH:
+            if mass_p.size:
+                mass[s_lo_p:s_lo_p + fine.size] += fine
+            tail += tail_1 + tail_2
+            err += panel_err
+            # The bound only grows, so fail as soon as it passes tol.
+            if err > tol:
+                raise QuadratureError(
+                    f"panel refinement reached depth {_MAX_DEPTH} with accumulated "
+                    f"error bound {err:.3e} > tol {tol:.3e}", achieved=err)
+            return
+        refine(lo, mid, 0.5 * budget, depth + 1)
+        refine(mid, hi, 0.5 * budget, depth + 1)
+
     budget = tol / (8.0 * n_panels)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        _refine_panel(x0, a, scale, lo, hi, budget, 0, k_max, log_fact, acc)
+        refine(lo, hi, budget, 0)
 
     # Mass that mixes from weights beyond w_cut: bounded by the biased tail
     # there, and (by the ridge cut) it lands beyond k_max, so it belongs to
     # tail_mass.
-    tail = acc.tail + biased.tail(w_cut)
-    return acc.mass, tail
+    return mass, tail + biased.tail(w_cut)
 
 
 # ---------------------------------------------------------------------------
 # Public constructors
 # ---------------------------------------------------------------------------
-
-def _mixture_once(spec: MixingSpec, k_max: int, tol: float) -> tuple[np.ndarray, float]:
-    law = spec.weight_law
-    if isinstance(law, Pareto):
-        return _pareto_mixture(law, spec.scale, spec.bias_order, k_max, tol)
-    if isinstance(law, Degenerate):
-        atoms = ((law.value, 1.0),)
-    elif isinstance(law, Finite):
-        atoms = law.atoms
-    else:  # pragma: no cover - no other laws exist today
-        raise TypeError(f"unsupported weight law {type(law).__name__}")
-    return _atomic_mixture(atoms, spec.scale, spec.bias_order, k_max)
-
 
 def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
     """Numeric pmf of the size-biased mixed Poisson law on ``0..k_max``.
@@ -389,7 +385,16 @@ def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return Pmf(*_mixture_once(spec, int(k_max), tol))
+    law, k_max = spec.weight_law, int(k_max)
+    if isinstance(law, Pareto):
+        return Pmf(*_pareto_mixture(law, spec.scale, spec.bias_order, k_max, tol))
+    if isinstance(law, Degenerate):
+        atoms = ((law.value, 1.0),)
+    elif isinstance(law, Finite):
+        atoms = law.atoms
+    else:  # pragma: no cover - no other laws exist today
+        raise TypeError(f"unsupported weight law {type(law).__name__}")
+    return Pmf(*_atomic_mixture(atoms, spec.scale, spec.bias_order, k_max))
 
 
 def pmf_offspring(params: "ModelParams", k_max: int, tol: float = 1e-10) -> Pmf:

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphgen import ProjectedGraph, graph_from_edges
-from .mixedpoisson import text_file
+from .mixedpoisson import text_file, write_csv
 
 __all__ = [
     "DataFormatError",
@@ -271,20 +271,8 @@ def write_spectrum_csv(spectrum: ClusteringSpectrum, file) -> None:
     field is left empty when degree k itself anchors no cherries (the
     conditioning event is empty there, not zero).
     """
-    with text_file(file, "w") as f:
-        f.write("k,n_vertices,tri_sum,cherry_sum,c_k,cum_tri,cum_cherry,C_k\n")
-        for k in range(spectrum.max_degree + 1):
-            if spectrum.cum_cherry[k] == 0:
-                continue
-            c = spectrum.c_at(k)
-            C = spectrum.C_at(k)
-            f.write(",".join([
-                str(k),
-                str(int(spectrum.n_vertices[k])),
-                str(int(spectrum.tri_sum[k])),
-                str(int(spectrum.cherry_sum[k])),
-                "" if c is None else repr(c),
-                str(int(spectrum.cum_tri[k])),
-                str(int(spectrum.cum_cherry[k])),
-                "" if C is None else repr(C),
-            ]) + "\n")
+    s = spectrum
+    write_csv(file, "k,n_vertices,tri_sum,cherry_sum,c_k,cum_tri,cum_cherry,C_k".split(","),
+              [(k, s.n_vertices[k], s.tri_sum[k], s.cherry_sum[k], s.c_at(k),
+                s.cum_tri[k], s.cum_cherry[k], s.C_at(k))
+               for k in range(s.max_degree + 1) if s.cum_cherry[k]])

@@ -95,12 +95,8 @@ def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
     # Remaining count probability after each i: suffix sums + the count's own
     # tail bound.
     suffix = np.concatenate([np.cumsum(count.mass[::-1])[::-1], [0.0]])
-    n_top = count.mass.size - 1
-    n_cut = n_top
-    for i in range(n_top + 1):
-        if suffix[i + 1] + count.tail_mass < tol:
-            n_cut = i
-            break
+    below = np.flatnonzero(suffix[1:] + count.tail_mass < tol)
+    n_cut = int(below[0]) if below.size else count.mass.size - 1
     remaining = float(suffix[n_cut + 1]) + count.tail_mass
 
     within = np.cumsum(count.mass[n_cut::-1])[::-1]  # P(i <= N <= n_cut)

@@ -46,7 +46,6 @@ __all__ = [
     "GRID_TAIL_RTOL",
     "Interval",
     "ModelParams",
-    "LimitTerms",
     "LimitLaws",
     "adaptive_limit_laws",
     "coefficient_from_ratio",
@@ -58,6 +57,8 @@ __all__ = [
     "tail_ratio_constant",
     "is_pareto_pair",
     "pareto_delta",
+    "TheoryRow",
+    "theory_curve",
 ]
 
 _TIE_RTOL = 1e-9
@@ -140,15 +141,6 @@ def _route_prefactors(params: ModelParams) -> tuple[float, float]:
             params.a(2) ** 2 * params.b(1) ** 2 * params.b(2))
 
 
-class LimitTerms(NamedTuple):
-    """Closed/open route weights at one degree k."""
-
-    a: float
-    b: float
-    A: Interval
-    B: Interval
-
-
 class LimitLaws:
     """Numeric ingredient pmfs for the limit formulas on the grid ``0..k_max``.
 
@@ -200,11 +192,6 @@ class LimitLaws:
         blo, bhi = tail_from_pmf(self.open_law, s)
         return (Interval(self.closed_prefactor * alo, self.closed_prefactor * ahi),
                 Interval(self.open_prefactor * blo, self.open_prefactor * bhi))
-
-    def terms(self, k: int) -> LimitTerms:
-        a, b = self.point_weights(k)
-        A, B = self.tail_weights(k)
-        return LimitTerms(a, b, A, B)
 
 
 @lru_cache(maxsize=8)
@@ -419,7 +406,7 @@ def _interval_unreliable(iv: Interval) -> bool:
 
 def theory_curve(params: ModelParams, ks, k_max: int = DEFAULT_K_MAX,
                  tol: float = 1e-10) -> list[TheoryRow]:
-    """Predicted clustering rows for each k.
+    """Predicted clustering rows for each k (every k at least 2).
 
     ``k_max`` caps the numeric grid: the laws come from
     :func:`adaptive_limit_laws`, sized from the largest requested degree.
@@ -429,45 +416,38 @@ def theory_curve(params: ModelParams, ks, k_max: int = DEFAULT_K_MAX,
     no longer reported.
     """
     ks = sorted(int(k) for k in ks)
+    if ks and ks[0] < 2:
+        raise ValueError(f"degree k must be >= 2, got {ks[0]}")
     laws = adaptive_limit_laws(params, max(ks, default=2), k_max, tol)
     return _curve_rows(laws, ks)
 
 
 def _curve_rows(laws: LimitLaws, ks: list[int]) -> list[TheoryRow]:
-    """Rows of :func:`theory_curve` for sorted degrees on the given laws."""
+    """Rows of :func:`theory_curve` for sorted degrees on the given laws.
+
+    A row is numeric while its degree is on the grid, no earlier row is
+    asymptotic and, for a Pareto pair, both tail intervals are tight.  Past
+    that a Pareto pair gets the closed forms; any other pair has no honest
+    prediction there and gets no row.
+    """
     params = laws.params
     pareto = is_pareto_pair(params)
     pa, pb = laws.closed_prefactor, laws.open_prefactor
     rows: list[TheoryRow] = []
-    switched = False
     for k in ks:
-        use_asym = False
-        if switched and pareto:
-            terms = None
-            use_asym = True
-        else:
-            try:
-                terms = laws.terms(k)
-            except ValueError:
-                terms = None
-            if (terms is None or _interval_unreliable(terms.A)
-                    or _interval_unreliable(terms.B)):
-                switched = True
-                use_asym = pareto
-                if not pareto and terms is None:
-                    # No numeric weight and no closed form to fall back on:
-                    # this degree has no honest prediction, skip its row.
-                    continue
-
-        if use_asym:
+        numeric = k - 2 <= laws.k_max and not (rows and rows[-1].asymptotic)
+        if numeric:
+            a, b = laws.point_weights(k)
+            A, B = laws.tail_weights(k)
+            numeric = not pareto or not (_interval_unreliable(A) or _interval_unreliable(B))
+        if numeric:
+            rows.append(TheoryRow(k, a, b, A, B, _c_from_weights(params.beta, a, b),
+                                  _C_from_tails(params.beta, A, B), False))
+        elif pareto:
             # Evaluate the closed forms at the same shifted argument k - 2.
             ta, tb = tail_weight_asymptotics(params, k - 2)
             A = Interval(pa * ta, pa * ta)
             B = Interval(pb * tb, pb * tb)
             rows.append(TheoryRow(k, None, None, A, B, None,
                                   _C_from_tails(params.beta, A, B), True))
-        else:
-            rows.append(TheoryRow(k, terms.a, terms.b, terms.A, terms.B,
-                                  _c_from_weights(params.beta, terms.a, terms.b),
-                                  _C_from_tails(params.beta, terms.A, terms.B), False))
     return rows

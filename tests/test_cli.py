@@ -182,6 +182,19 @@ def test_pmf_k_max_below_one_exit_one(tmp_path, capsys, command, pmf_k_max):
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_negative_edge_budget_exit_one(tmp_path, capsys, monkeypatch, command):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the edge budget was checked after sampling")
+
+    monkeypatch.setattr("rigclust.experiment.sample_bipartite", no_sampling)
+    code, out, err = run_main(
+        [command, *BASE, "--edge-budget", "-1", "--output-dir", str(tmp_path / "out")],
+        capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: edge_budget must be >= 0\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_zero_workers_exit_one(tmp_path, capsys, monkeypatch, command):
     def no_theory(*args, **kwargs):
         raise AssertionError("the worker count was checked after the theory build")
@@ -299,6 +312,15 @@ def test_fit_delta_data_errors(tmp_path, capsys, content, match):
     code, _, err = run_main(argv, capsys)
     assert code == EXIT_DATA
     assert match in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_delta_non_finite_value_exit_two(tmp_path, capsys, value):
+    path = tmp_path / "curve.csv"
+    path.write_text(f"k,value\n2,1.0\n3,{value}\n4,0.5\n5,0.25\n")
+    code, out, err = run_main(["fit-delta", str(path), "--window", "2", "5"], capsys)
+    assert code == EXIT_DATA and out == ""
+    assert err == f"error: log-log fit needs positive finite data, got (3.0, {value})\n"
 
 
 def test_fit_delta_missing_file(tmp_path, capsys):

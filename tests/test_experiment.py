@@ -218,6 +218,16 @@ def test_fit_delta_needs_three_points_and_positive_data():
         fit_delta([(10, 1.0), (20, 0.0), (30, 1.0)], (5, 100))
 
 
+@pytest.mark.parametrize("points,window", [
+    ([(10, 1.0), (20, math.nan), (30, 1.0)], (5, 100)),
+    ([(10, 1.0), (20, math.inf), (30, 1.0)], (5, 100)),
+    ([(10, 1.0), (20, 1.0), (math.inf, 1.0)], (5, math.inf)),
+], ids=["nan-value", "inf-value", "inf-k"])
+def test_fit_delta_rejects_non_finite_data(points, window):
+    with pytest.raises(ValueError, match="needs positive finite data"):
+        fit_delta(points, window)
+
+
 def spectrum_with_cherries(cherries):
     arr = np.asarray(cherries, dtype=np.int64)
     return ClusteringSpectrum(np.ones_like(arr), np.zeros_like(arr), arr)

@@ -357,6 +357,43 @@ def test_theory_curve_skips_non_pareto_beyond_grid():
     assert [row.k for row in rows] == [2]
 
 
+def test_theory_curve_keeps_unreliable_non_pareto_rows():
+    # Only a Pareto pair has closed forms to switch to: any other pair keeps
+    # its numeric rows across the whole grid, loose intervals included.
+    params = ModelParams(10, 10, 1.0, Degenerate(1.1), Degenerate(0.9))
+    rows = th.theory_curve(params, range(2, 67), k_max=64)
+    assert [row.k for row in rows] == list(range(2, 67))
+    assert not any(row.asymptotic for row in rows)
+    assert any(th._interval_unreliable(row.A) or th._interval_unreliable(row.B)
+               for row in rows)
+
+
+def test_theory_curve_stays_asymptotic_after_first_loose_row(monkeypatch):
+    # Pareto intervals widen with k, so the switch is sticky in practice;
+    # a loose interval at one degree alone shows that the rule itself is.
+    laws = LimitLaws(pareto_params(7.0, 6.0), k_max=64)
+    tail_weights = laws.tail_weights
+
+    def loose_at_five(k):
+        A, B = tail_weights(k)
+        return (th.Interval(0.0, A.hi), B) if k == 5 else (A, B)
+
+    monkeypatch.setattr(laws, "tail_weights", loose_at_five)
+    rows = th._curve_rows(laws, list(range(2, 9)))
+    assert [row.asymptotic for row in rows] == [False] * 3 + [True] * 4
+
+
+@pytest.mark.parametrize("params", [
+    pareto_params(7.0, 6.0),
+    ModelParams(100, 100, 1.0, Degenerate(1.1), Degenerate(0.9)),
+], ids=["pareto", "degenerate"])
+def test_theory_curve_rejects_degree_below_two(params):
+    # A degree below 2 has no shifted argument; it must not turn the rows
+    # after it asymptotic or vanish silently.
+    with pytest.raises(ValueError, match=r"^degree k must be >= 2, got 1$"):
+        th.theory_curve(params, [1, 3], k_max=64)
+
+
 # ---------------------------------------------------------------------------
 # Adaptive grid of theory_curve against the fixed cap grid
 # ---------------------------------------------------------------------------
