@@ -12,6 +12,7 @@ from .weights import (
     DomainError,
     Finite,
     InfiniteMomentError,
+    ModelParams,
     Pareto,
     WeightLaw,
 )
@@ -28,7 +29,6 @@ from .stoppedsum import StoppedSumSpec, convolve, pmf_stopped_sum, tail_from_pmf
 from .theory import (
     Interval,
     LimitLaws,
-    ModelParams,
     adaptive_limit_laws,
     attribute_tail_asymptotic,
     coefficient_from_ratio,
@@ -46,7 +46,6 @@ from .graphgen import (
     graph_from_edges,
     project,
     sample_bipartite,
-    write_edge_list,
 )
 from .spectrum import (
     ClusteringSpectrum,
@@ -55,6 +54,7 @@ from .spectrum import (
     pool,
     read_edge_list,
     triangle_counts,
+    write_edge_list,
     write_spectrum_csv,
 )
 from .experiment import (

@@ -12,7 +12,9 @@ Exit codes: 0 success (also when the reader of stdout closes it early), 1
 usage error (including a ``tol`` outside (0, 1), ``--workers`` below 1 and
 a config file that is not UTF-8), weight laws outside the theory's domain,
 or a quadrature that cannot reach ``tol``, 2 malformed data (also an edge
-list or CSV that is not UTF-8), 3 budget abort, 4 a worker process of
+list or CSV that is not UTF-8, a CSV field over the ``csv`` module's size
+limit, or a ``nan`` k for ``fit-delta``), 3 run too large: the edge budget
+aborted every replicate, or an allocation was refused, 4 a worker process of
 ``simulate`` or ``compare`` died before returning its replicates (it was
 killed, for example by the out-of-memory killer).  ``simulate`` and
 ``compare`` start at most one worker process per replicate.
@@ -40,9 +42,9 @@ from .experiment import (
     write_replicates,
 )
 from .graphgen import EdgeBudgetError
-from .mixedpoisson import QuadratureError, write_csv
+from .mixedpoisson import QuadratureError
 from .spectrum import (DataFormatError, clustering_spectrum, read_edge_list,
-                       write_spectrum_csv)
+                       write_csv, write_spectrum_csv)
 from .theory import pareto_delta, theory_curve
 from .weights import DomainError
 
@@ -120,7 +122,7 @@ def _cmd_compare(args) -> int:
     if report.delta_fit is not None:
         line = (f"fitted delta = {report.delta_fit.slope:+.3f} "
                 f"(r^2 = {report.delta_fit.r_squared:.3f}, "
-                f"window {report.delta_window})")
+                f"window {report.delta_fit.window})")
         if report.delta_theory is not None:
             line += f", theory delta = {report.delta_theory:+.3f}"
         print(line)
@@ -151,14 +153,14 @@ def _cmd_fit_delta(args) -> int:
                     points.append((float(row[ki]), float(row[vi])))
                 except ValueError as exc:
                     raise DataFormatError(f"{args.csv}: non-numeric row {row!r}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"cannot read {args.csv}: {exc}") from exc
     try:
         fit = fit_delta(points, (args.window[0], args.window[1]))
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
     print(f"slope={fit.slope!r} intercept={fit.intercept!r} "
-          f"r_squared={fit.r_squared!r} n={len(points)}")
+          f"r_squared={fit.r_squared!r} n={fit.n_points}")
     return EXIT_OK
 
 
@@ -230,6 +232,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except EdgeBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except BrokenExecutor as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)

@@ -40,16 +40,10 @@ from .graphgen import (
     project,
     sample_bipartite,
 )
-from .mixedpoisson import write_csv
-from .spectrum import ClusteringSpectrum, clustering_spectrum, pool, write_spectrum_csv
-from .theory import (
-    DEFAULT_K_MAX,
-    ModelParams,
-    pareto_delta,
-    ratio_from_coefficient,
-    theory_curve,
-)
-from .weights import Degenerate, Finite, Pareto, WeightLaw
+from .spectrum import (ClusteringSpectrum, clustering_spectrum, pool, write_csv,
+                       write_spectrum_csv)
+from .theory import DEFAULT_K_MAX, pareto_delta, ratio_from_coefficient, theory_curve
+from .weights import Degenerate, Finite, ModelParams, Pareto, WeightLaw
 
 __all__ = [
     "UsageError",
@@ -279,21 +273,27 @@ def replicate_seed(master_seed: int, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 class FitResult(NamedTuple):
+    """A log-log fit: its line, the window it was asked for, and the number
+    of points inside that window it fitted."""
+
     slope: float
     intercept: float
     r_squared: float
+    window: tuple
+    n_points: int
 
 
 def fit_delta(points, window: tuple[float, float]) -> FitResult:
     """Least squares of log(value) on log(k) within the inclusive window.
 
     ``points`` is an iterable of (k, value); needs at least three in-window
-    points, all with k and value positive and finite.
+    points, all with k and value positive and finite.  A nan k belongs to no
+    window, so it is rejected wherever it appears.
     """
     lo, hi = window
     ks, vs = [], []
     for k, v in points:
-        if lo <= k <= hi:
+        if math.isnan(k) or lo <= k <= hi:
             if not (0 < k < math.inf and 0 < v < math.inf):
                 raise ValueError(f"log-log fit needs positive finite data, got ({k}, {v})")
             ks.append(math.log(k))
@@ -306,7 +306,7 @@ def fit_delta(points, window: tuple[float, float]) -> FitResult:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return FitResult(float(slope), float(intercept), r2)
+    return FitResult(float(slope), float(intercept), r2, (lo, hi), len(ks))
 
 
 def default_delta_window(pooled: ClusteringSpectrum,
@@ -368,8 +368,6 @@ class ComparisonReport:
     spectra: list
     failed: list
     delta_fit: FitResult | None
-    delta_window: tuple[int, int] | None
-    delta_points: int
     delta_theory: float | None
     delta_negative: bool
     wall_time_s: float = 0.0
@@ -393,8 +391,8 @@ class ComparisonReport:
                 "slope": self.delta_fit.slope,
                 "intercept": self.delta_fit.intercept,
                 "r_squared": self.delta_fit.r_squared,
-                "window": list(self.delta_window),
-                "n_points": self.delta_points,
+                "window": list(self.delta_fit.window),
+                "n_points": self.delta_fit.n_points,
             },
             "delta_theory": self.delta_theory,
             "delta_negative": self.delta_negative,
@@ -498,7 +496,6 @@ def run(config: ExperimentConfig, workers: int = 1) -> ComparisonReport:
     # inverse blend so the fitted slope targets the same exponent as delta.
     delta_fit = None
     window = default_delta_window(pooled)
-    n_points = 0
     if window is not None:
         pts = []
         for k in range(window[0], window[1] + 1):
@@ -507,18 +504,15 @@ def run(config: ExperimentConfig, workers: int = 1) -> ComparisonReport:
                 pts.append((k, ratio_from_coefficient(config.params.beta, C_hat)))
         try:
             delta_fit = fit_delta(pts, window)
-            n_points = len(pts)
         except ValueError:
-            delta_fit = None
-            window = None
+            pass
 
     delta_theory = pareto_delta(config.params)
     delta_negative = delta_theory is not None and delta_theory < 0
 
     report = ComparisonReport(
         config=config, rows=rows, pooled=pooled, spectra=spectra, failed=failed,
-        delta_fit=delta_fit, delta_window=window, delta_points=n_points,
-        delta_theory=delta_theory, delta_negative=delta_negative,
+        delta_fit=delta_fit, delta_theory=delta_theory, delta_negative=delta_negative,
         wall_time_s=time.monotonic() - t0, workers=workers,
     )
     if config.output_dir:

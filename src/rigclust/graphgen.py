@@ -35,8 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mixedpoisson import text_file
-from .theory import ModelParams
+from .weights import ModelParams
 
 __all__ = [
     "EdgeBudgetError",
@@ -45,7 +44,6 @@ __all__ = [
     "sample_bipartite",
     "project",
     "graph_from_edges",
-    "write_edge_list",
     "DEFAULT_EDGE_BUDGET",
 ]
 
@@ -209,8 +207,7 @@ def _links_fast(x: np.ndarray, y: np.ndarray, seed: int) -> tuple[np.ndarray, np
     return _rows_csr(np.sort(np.concatenate(keys)), m, n)
 
 
-def sample_bipartite(params: ModelParams, seed: int,
-                     generator: str = "reference") -> BipartiteSample:
+def sample_bipartite(params: ModelParams, seed: int, generator: str) -> BipartiteSample:
     """Draw weights and links; deterministic in (params, seed, generator)."""
     x, y = _sample_weights(params, seed)
     if generator == "reference":
@@ -298,9 +295,3 @@ def project(sample: BipartiteSample,
     partner = actors[partner]  # drops the positions: two pair-sized arrays, not three
     return graph_from_edges(sample.n, np.repeat(actors, later), partner)
 
-
-def write_edge_list(g: ProjectedGraph, file) -> None:
-    """Whitespace-separated 'u v' lines, 0-based ids, one edge each."""
-    with text_file(file, "w") as f:
-        eu, ev = g.edge_array()
-        f.writelines(f"{a} {b}\n" for a, b in zip(eu.tolist(), ev.tolist()))

@@ -32,18 +32,12 @@ partition work.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .weights import Degenerate, DomainError, Finite, Pareto, WeightLaw
-
-if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    from .theory import ModelParams
+from .weights import Degenerate, DomainError, Finite, ModelParams, Pareto, WeightLaw
 
 __all__ = [
     "Pmf",
@@ -53,40 +47,10 @@ __all__ = [
     "pmf_mixed_poisson",
     "pmf_offspring",
     "sample_biased",
-    "text_file",
-    "write_csv",
 ]
 
 #: Tolerance on |sum(mass) + tail_mass - 1| accepted by Pmf.validate.
 NORMALIZATION_ATOL = 1e-9
-
-
-def text_file(file, mode: str):
-    """Context manager for a path or an open text file: a path (``str`` or
-    ``os.PathLike``) is opened as UTF-8 in ``mode`` and closed on exit; an
-    open file is used as it is and left open."""
-    if isinstance(file, (str, os.PathLike)):
-        return open(file, mode, encoding="utf-8")
-    return contextlib.nullcontext(file)
-
-
-def write_csv(file, header, rows) -> None:
-    """Write a header line and one line per row to a path or an open text
-    file.  A cell is empty for None, kept as it is for a ``str``, written as
-    ``str(int(v))`` for an integer and as ``repr(float(v))`` otherwise."""
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return repr(float(v))
-
-    with text_file(file, "w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(map(cell, row)) + "\n")
 
 
 class QuadratureError(RuntimeError):
@@ -148,29 +112,6 @@ class Pmf:
         """Grid part of the mean; a lower bound when tail_mass > 0."""
         return float(np.arange(self.mass.size) @ self.mass)
 
-    def to_csv(self, file) -> None:
-        """Write rows ``s,mass`` plus a trailing ``tail_mass`` record."""
-        write_csv(file, ("s", "mass"),
-                  [*enumerate(self.mass), ("tail_mass", self.tail_mass)])
-
-    @classmethod
-    def from_csv(cls, file) -> "Pmf":
-        with text_file(file, "r") as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
-        if not lines or lines[0] != "s,mass":
-            raise ValueError("expected header 's,mass'")
-        tail = 0.0
-        mass = []
-        for ln in lines[1:]:
-            key, val = ln.split(",")
-            if key == "tail_mass":
-                tail = float(val)
-            else:
-                if int(key) != len(mass):
-                    raise ValueError(f"non-contiguous support at row {ln!r}")
-                mass.append(float(val))
-        return cls(np.array(mass), tail)
-
 
 @dataclass(frozen=True)
 class MixingSpec:
@@ -191,7 +132,7 @@ class MixingSpec:
         self.weight_law.moment(self.bias_order)
 
 
-def mixing_spec(params: "ModelParams", role: str, bias_order: int = 0) -> MixingSpec:
+def mixing_spec(params: ModelParams, role: str, bias_order: int = 0) -> MixingSpec:
     """Mixing spec for the two local count laws of the model.
 
     ``role='actor'`` gives the law counting attributes around one actor:
@@ -397,7 +338,7 @@ def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
     return Pmf(*_atomic_mixture(atoms, spec.scale, spec.bias_order, k_max))
 
 
-def pmf_offspring(params: "ModelParams", k_max: int, tol: float = 1e-10) -> Pmf:
+def pmf_offspring(params: ModelParams, k_max: int, tol: float = 1e-10) -> Pmf:
     """Law of the extra actors met through one shared attribute.
 
     If N counts the actors on an attribute (the 'attribute' mixed Poisson law),

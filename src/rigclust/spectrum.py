@@ -21,13 +21,16 @@ chunks of about ``_WEDGE_CHUNK`` wedges so the temporaries stay bounded
 (edge-iterator triangle listing; Latapy 2008, "Main-memory triangle
 computations for very large (sparse (power-law)) graphs").
 
-Edge lists given as a path are parsed by one ``np.loadtxt`` call; an open file,
-or anything that call rejects, goes through the line parser, which names the
-first malformed line.
+This module also owns the package's file formats: the 'u v' edge list
+(:func:`read_edge_list`, :func:`write_edge_list`) and every CSV table, which
+goes through :func:`write_csv`.  Edge lists given as a path are parsed by one
+``np.loadtxt`` call; an open file, or anything that call rejects, goes through
+the line parser, which names the first malformed line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import warnings
 from dataclasses import dataclass
@@ -36,7 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from .graphgen import ProjectedGraph, graph_from_edges
-from .mixedpoisson import text_file, write_csv
 
 __all__ = [
     "DataFormatError",
@@ -45,6 +47,9 @@ __all__ = [
     "clustering_spectrum",
     "pool",
     "read_edge_list",
+    "write_edge_list",
+    "text_file",
+    "write_csv",
     "write_spectrum_csv",
 ]
 
@@ -60,6 +65,32 @@ _MAX_ID = np.iinfo(np.int64).max - 1
 
 class DataFormatError(ValueError):
     """Malformed external data (edge lists, spectrum tables)."""
+
+
+def text_file(file, mode: str):
+    """Context manager for a path or an open text file: a path (``str`` or
+    ``os.PathLike``) is opened as UTF-8 in ``mode`` and closed on exit; an
+    open file is used as it is and left open."""
+    if isinstance(file, (str, os.PathLike)):
+        return open(file, mode, encoding="utf-8")
+    return contextlib.nullcontext(file)
+
+
+def write_csv(file, header, rows) -> None:
+    """Write a header line and one line per row to a path or an open text
+    file.  A cell is empty for None, written as ``str(int(v))`` for an
+    integer and as ``repr(float(v))`` otherwise."""
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
+
+    with text_file(file, "w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(cell, row)) + "\n")
 
 
 def triangle_counts(g: ProjectedGraph) -> np.ndarray:
@@ -201,6 +232,13 @@ def read_edge_list(file) -> ProjectedGraph:
     ids = ids[np.diff(ids, prepend=-1) != 0]
     g = graph_from_edges(ids.size, np.searchsorted(ids, u), np.searchsorted(ids, v))
     return ProjectedGraph(g.n, g.indptr, g.neighbors, extra_isolated=n - ids.size)
+
+
+def write_edge_list(g: ProjectedGraph, file) -> None:
+    """Whitespace-separated 'u v' lines, 0-based ids, one edge each."""
+    with text_file(file, "w") as f:
+        eu, ev = g.edge_array()
+        f.writelines(f"{a} {b}\n" for a, b in zip(eu.tolist(), ev.tolist()))
 
 
 def _has_inline_comment(raw: bytes) -> bool:

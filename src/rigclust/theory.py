@@ -39,13 +39,12 @@ from typing import NamedTuple
 
 from .mixedpoisson import Pmf, mixing_spec, pmf_mixed_poisson, pmf_offspring
 from .stoppedsum import StoppedSumSpec, convolve, pmf_stopped_sum, tail_from_pmf
-from .weights import InfiniteMomentError, Pareto, WeightLaw
+from .weights import InfiniteMomentError, ModelParams, Pareto
 
 __all__ = [
     "DEFAULT_K_MAX",
     "GRID_TAIL_RTOL",
     "Interval",
-    "ModelParams",
     "LimitLaws",
     "adaptive_limit_laws",
     "coefficient_from_ratio",
@@ -90,36 +89,6 @@ class Interval(NamedTuple):
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Model parameters: sizes, shape ratio, and the two weight laws.
-
-    ``beta`` is the limiting ratio m/n used by every limit formula; the stored
-    integer sizes only matter for simulation.  Moment helpers ``a(r)``/``b(r)``
-    delegate to the weight laws (attribute side X, actor side Y).
-    """
-
-    n: int
-    m: int
-    beta: float
-    x_law: WeightLaw
-    y_law: WeightLaw
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be >= 1")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-
-    def a(self, r: int) -> float:
-        """E[X**r] for the attribute weight law."""
-        return self.x_law.moment(r)
-
-    def b(self, r: int) -> float:
-        """E[Y**r] for the actor weight law."""
-        return self.y_law.moment(r)
 
 
 def is_pareto_pair(params: ModelParams) -> bool:

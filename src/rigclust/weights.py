@@ -15,6 +15,9 @@ Three law families cover everything the workbench needs:
 All laws are frozen dataclasses, safe to share across threads and usable as
 dict keys.  Sampling takes a ``numpy.random.Generator`` so callers control the
 stream.
+
+:class:`ModelParams` bundles the two laws with the sizes and the shape ratio:
+it is the one model that both the sampler and the limit theory read.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "Pareto",
     "Degenerate",
     "Finite",
+    "ModelParams",
 ]
 
 
@@ -237,3 +241,33 @@ class Finite(WeightLaw):
         if total <= 0.0:
             raise ValueError("cannot size-bias: law has zero mass above 0")
         return Finite(tuple((v, w / total) for (v, _), w in zip(self.atoms, weights)))
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Model parameters: sizes, shape ratio, and the two weight laws.
+
+    ``beta`` is the limiting ratio m/n used by every limit formula; the stored
+    integer sizes only matter for simulation.  Moment helpers ``a(r)``/``b(r)``
+    delegate to the weight laws (attribute side X, actor side Y).
+    """
+
+    n: int
+    m: int
+    beta: float
+    x_law: WeightLaw
+    y_law: WeightLaw
+
+    def __post_init__(self):
+        if self.n < 1 or self.m < 1:
+            raise ValueError("n and m must be >= 1")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+
+    def a(self, r: int) -> float:
+        """E[X**r] for the attribute weight law."""
+        return self.x_law.moment(r)
+
+    def b(self, r: int) -> float:
+        """E[Y**r] for the actor weight law."""
+        return self.y_law.moment(r)

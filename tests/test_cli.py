@@ -272,6 +272,16 @@ def test_budget_abort_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_refused_allocation_exit_three(capsys):
+    # 10**15 actor weights need 8 PB, beyond any user address space, so numpy
+    # refuses the array at once whatever the overcommit setting.
+    code, out, err = run_main(
+        ["simulate", "--n", str(10**15), "--m", "3", "--beta", "1",
+         "--x-law", "pareto(1,7)", "--y-law", "pareto(1,6)"], capsys)
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # fit-delta / stats
 # ---------------------------------------------------------------------------
@@ -286,6 +296,7 @@ def test_fit_delta_reads_csv(tmp_path, capsys):
     fields = dict(part.split("=") for part in out.split())
     assert float(fields["slope"]) == pytest.approx(-1.5, abs=1e-12)
     assert float(fields["r_squared"]) == pytest.approx(1.0, abs=1e-12)
+    assert fields["n"] == "22"  # the rows inside the window, not all 28
 
 
 def test_fit_delta_named_columns_and_blank_cells(tmp_path, capsys):
@@ -321,6 +332,24 @@ def test_fit_delta_non_finite_value_exit_two(tmp_path, capsys, value):
     code, out, err = run_main(["fit-delta", str(path), "--window", "2", "5"], capsys)
     assert code == EXIT_DATA and out == ""
     assert err == f"error: log-log fit needs positive finite data, got (3.0, {value})\n"
+
+
+def test_fit_delta_nan_k_exit_two(tmp_path, capsys):
+    # A nan k lies in no window; it is bad data, not a row to drop.
+    path = tmp_path / "curve.csv"
+    path.write_text("k,value\nnan,1\n2,1\n3,0.5\n4,0.25\n")
+    code, out, err = run_main(["fit-delta", str(path), "--window", "1", "10"], capsys)
+    assert code == EXIT_DATA and out == ""
+    assert err == "error: log-log fit needs positive finite data, got (nan, 1.0)\n"
+
+
+def test_fit_delta_oversized_field_exit_two(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("k,value\n2," + "9" * 200_000 + "\n")
+    code, out, err = run_main(["fit-delta", str(path), "--window", "1", "10"], capsys)
+    assert code == EXIT_DATA and out == ""
+    assert err.startswith("error: cannot read") and "field limit" in err
+    assert err.count("\n") == 1
 
 
 def test_fit_delta_missing_file(tmp_path, capsys):

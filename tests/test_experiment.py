@@ -209,6 +209,7 @@ def test_fit_delta_window_filters_points():
     fit = fit_delta(pts, (5, 100))
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
     assert fit.r_squared == 1.0  # zero variance: perfect by convention
+    assert (fit.window, fit.n_points) == ((5, 100), 3)
 
 
 def test_fit_delta_needs_three_points_and_positive_data():
@@ -222,7 +223,8 @@ def test_fit_delta_needs_three_points_and_positive_data():
     ([(10, 1.0), (20, math.nan), (30, 1.0)], (5, 100)),
     ([(10, 1.0), (20, math.inf), (30, 1.0)], (5, 100)),
     ([(10, 1.0), (20, 1.0), (math.inf, 1.0)], (5, math.inf)),
-], ids=["nan-value", "inf-value", "inf-k"])
+    ([(math.nan, 1.0), (10, 1.0), (20, 1.0), (30, 1.0)], (5, 100)),
+], ids=["nan-value", "inf-value", "inf-k", "nan-k"])
 def test_fit_delta_rejects_non_finite_data(points, window):
     with pytest.raises(ValueError, match="needs positive finite data"):
         fit_delta(points, window)

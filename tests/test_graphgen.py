@@ -143,6 +143,12 @@ def test_unknown_generator_rejected():
         sample_bipartite(tiny_params(), 0, "bogus")
 
 
+def test_generator_has_no_default():
+    # ExperimentConfig is the one place that picks the generator.
+    with pytest.raises(TypeError):
+        sample_bipartite(tiny_params(), 0)
+
+
 def test_row_streams_distinct_for_full_range_seeds():
     # Seeds above 2**63 must not collapse the per-attribute streams (a list
     # of huge python ints round-trips through float64 inside numpy unless the

@@ -1,6 +1,5 @@
 """Mixed-Poisson pmf construction against independent references."""
 
-import io
 import math
 
 import numpy as np
@@ -239,22 +238,6 @@ def test_pmf_validation():
     p = Pmf(np.array([0.25, 0.25]), tail_mass=0.5)
     with pytest.raises(ValueError):
         p.mass[0] = 1.0  # frozen storage
-
-
-def test_pmf_csv_round_trip(tmp_path):
-    spec = MixingSpec(Pareto(1.0, 6.0), scale=1.2, bias_order=1)
-    res = pmf_mixed_poisson(spec, k_max=64)
-    buf = io.StringIO()
-    res.to_csv(buf)
-    back = Pmf.from_csv(io.StringIO(buf.getvalue()))
-    assert np.array_equal(back.mass, res.mass)
-    assert back.tail_mass == res.tail_mass
-    path = tmp_path / "law.csv"
-    with open(path, "w", encoding="utf-8") as f:
-        res.to_csv(f)
-    with open(path, encoding="utf-8") as f:
-        again = Pmf.from_csv(f)
-    assert np.array_equal(again.mass, res.mass)
 
 
 def test_grid_is_the_one_asked_for():
