@@ -294,4 +294,3 @@ def project(sample: BipartiteSample,
     partner += np.arange(total_pairs)
     partner = actors[partner]  # drops the positions: two pair-sized arrays, not three
     return graph_from_edges(sample.n, np.repeat(actors, later), partner)
-
