@@ -414,9 +414,13 @@ class ComparisonReport:
             write_replicates(self.spectra, out_dir)
 
 
-def _scipy_version() -> str:
-    import scipy
-    return scipy.__version__
+def _scipy_version() -> str | None:
+    """Installed scipy version, read without importing scipy; None if absent."""
+    from importlib import metadata
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
 
 
 def _se(values: list) -> float | None:

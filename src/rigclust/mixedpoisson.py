@@ -102,7 +102,7 @@ class Pmf:
     def point(cls, k: int, k_max: int | None = None) -> "Pmf":
         """Point mass at integer k."""
         size = (k if k_max is None else k_max) + 1
-        if k >= size:
+        if not 0 <= k < size:
             raise ValueError("point outside grid")
         mass = np.zeros(size)
         mass[k] = 1.0
@@ -151,6 +151,56 @@ def mixing_spec(params: ModelParams, role: str, bias_order: int = 0) -> MixingSp
 # Poisson kernels
 # ---------------------------------------------------------------------------
 
+#: log(s!) for s = 0..11: the log of the exact product, as cephes ``lgam``
+#: (scipy's ``gammaln``) takes it below x = 13.
+_LOG_FACT_SMALL = np.array([math.log(math.factorial(s)) for s in range(12)])
+#: Stirling-series coefficients of cephes ``lgam`` for 13 <= x < 1000.
+_STIRLING_COEFS = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+                   7.93650340457716943945E-4, -2.77777777730099687205E-3,
+                   8.33333333333331927722E-2)
+#: log(sqrt(2 pi)) as cephes ``lgam`` spells it.
+_LOG_SQRT_2PI = 0.91893853320467274178
+#: Log of the smallest positive double: leading masses below it are zero.
+_LOG_SUBNORMAL = math.log(np.finfo(np.float64).smallest_subnormal)
+#: Log of the relative size of the last term a tail series sums.
+_LOG_SERIES_CUT = -40.0
+
+
+def _stirling_correction(x: float | np.ndarray) -> float | np.ndarray:
+    """lgam(x) - ((x - 1/2) log x - x + log sqrt(2 pi)) for x >= 13, summed
+    as cephes ``lgam`` sums it."""
+    p = 1.0 / (x * x)
+    series = _STIRLING_COEFS[0] * p + _STIRLING_COEFS[1]
+    for c in _STIRLING_COEFS[2:]:
+        series = series * p + c
+    far = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p \
+        + 0.0833333333333333333333
+    return np.where(x < 1000.0, series, far) / x
+
+
+def _log_factorials(k_max: int) -> np.ndarray:
+    """log(s!) for s = 0..k_max, bit-identical to ``gammaln(s + 1)``.
+
+    Below s = 12 these are logs of exact factorials; from there (x = s + 1 >=
+    13) this is the Stirling branch of cephes ``lgam``, operation for
+    operation, so every entry on grids up to 8192 equals scipy's.
+    """
+    s = np.arange(k_max + 1)
+    x = s + 1.0
+    stirling = (x - 0.5) * np.log(x) - x + _LOG_SQRT_2PI + _stirling_correction(x)
+    return np.where(s < 12, _LOG_FACT_SMALL[np.minimum(s, 11)], stirling)
+
+
+def _log_mass_offset(k: int) -> float:
+    """log(k!) + x - k log(x) with x = k + 1, so that log P(Poisson(rate) = k)
+    is k log(rate / x) - (rate - x) minus this.  From k = 12 on it comes from
+    the Stirling form of log(k!), in which the k log(x) terms cancel."""
+    x = k + 1.0
+    if k < 12:
+        return float(_LOG_FACT_SMALL[k] + x - k * math.log(x))
+    return 0.5 * math.log(x) + _LOG_SQRT_2PI + float(_stirling_correction(x))
+
+
 def _poisson_rows(rates: np.ndarray, s_lo: int, s_hi: int,
                   log_fact: np.ndarray) -> np.ndarray:
     """Matrix of Poisson masses, rows over rates, columns s_lo..s_hi.
@@ -166,9 +216,48 @@ def _poisson_rows(rates: np.ndarray, s_lo: int, s_hi: int,
 
 
 def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
-    """P(Poisson(rate) > k_max) via the regularized lower incomplete gamma."""
-    from scipy.special import gammainc  # lazy: `stats` and `simulate` never need scipy
-    return gammainc(k_max + 1, rates)
+    """P(Poisson(rate) > K) for K = k_max and positive rates.
+
+    The error is about K * 1e-16 relative.  Each series starts from a leading
+    mass taken in log space.  For rate <= K + 1 the tail is p(K+1) * sum_j
+    prod_{i<=j} rate/(K+1+i), plus a geometric bound on the terms left out,
+    so it stays an upper bound; above K + 1 it is 1 - p(K) * sum_j prod_{i<j}
+    (K-i)/rate.  A series stops once the terms of its slowest row are below
+    e**-40; a row whose leading mass underflows is 0 (or 1) without summing.
+    """
+    k = int(k_max)
+    x = k + 1.0
+    rates = np.asarray(rates, dtype=np.float64)
+    low = rates <= x
+    out = np.where(low, 0.0, 1.0)
+    with np.errstate(divide="ignore", under="ignore"):
+        # log p(K), plus log(rate / x) = log(p(K+1) / p(K)) on the low rows.
+        log_q = np.log(rates / x)
+        log_lead = (k + low) * log_q - (rates - x) - _log_mass_offset(k)
+        live = log_lead > _LOG_SUBNORMAL
+        # Within this many terms every series falls below e**-40.
+        j = np.arange(1.0, 41.0 + math.sqrt(1600.0 + 80.0 * x))
+        rows = low & live
+        if rows.any():
+            # log of term j: j log(rate / x) - sum_{i<=j} log(1 + i/x); the
+            # largest rate has the slowest series.
+            q = log_q[rows]
+            d = np.cumsum(np.log1p(j / x))
+            n = np.count_nonzero(j * q.max() - d >= _LOG_SERIES_CUT) + 1
+            terms = np.exp(j[:n, None] * q - d[:n, None])
+            last = rates[rows] / (x + 1.0 + len(terms))  # at least every ratio left out
+            series = terms.sum(axis=0) + terms[-1] * last / (1.0 - last)
+            out[rows] = np.exp(log_lead[rows] + np.log1p(series))
+        rows = ~low & live
+        if rows.any():
+            # log of term j: sum_{i<=j} log(1 - i/x) - j log(rate / x); the
+            # smallest rate has the slowest series.
+            q = log_q[rows]
+            d = np.cumsum(np.log1p(-np.minimum(j, x) / x))
+            n = np.count_nonzero(d - j * q.min() >= _LOG_SERIES_CUT) + 1
+            terms = np.exp(d[:n, None] - j[:n, None] * q)
+            out[rows] = 1.0 - np.exp(log_lead[rows] + np.log1p(terms.sum(axis=0)))
+    return out
 
 
 def _support_window(rate_lo: float, rate_hi: float, k_max: int) -> tuple[int, int]:
@@ -183,12 +272,6 @@ def _support_window(rate_lo: float, rate_hi: float, k_max: int) -> tuple[int, in
 # ---------------------------------------------------------------------------
 # Atomic mixing laws: exact finite mixtures
 # ---------------------------------------------------------------------------
-
-def _log_factorials(k_max: int) -> np.ndarray:
-    """log(s!) for s = 0..k_max via the log-gamma function."""
-    from scipy.special import gammaln
-    return gammaln(np.arange(1.0, k_max + 2.0))
-
 
 def _atomic_mixture(atoms, scale: float, r: int, k_max: int) -> tuple[np.ndarray, float]:
     log_fact = _log_factorials(k_max)
@@ -231,8 +314,14 @@ def _panel_widths(w: float, scale: float, ridge_end: float) -> float:
 
 
 def _pareto_panel(x0: float, a: float, scale: float, lo: float, hi: float,
-                  k_max: int, log_fact: np.ndarray) -> tuple[int, np.ndarray, float]:
-    """Gauss-Legendre estimate of the mixture integral over one panel."""
+                  k_max: int, log_fact: np.ndarray
+                  ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre estimate of the mixture integral over one panel.
+
+    Returns the grid masses from index ``s_lo`` on, and the node weights and
+    rates, so that the caller can weigh the Poisson tails of a panel and its
+    two halves in one call.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     w = mid + half * _GL_NODES
@@ -246,8 +335,7 @@ def _pareto_panel(x0: float, a: float, scale: float, lo: float, hi: float,
         mass_slice = coef @ block
     else:  # entire Poisson bulk is beyond the grid
         s_lo, mass_slice = 0, np.zeros(0)
-    tail = float(coef @ _poisson_upper_tail(k_max, rates))
-    return s_lo, mass_slice, tail
+    return s_lo, mass_slice, coef, rates
 
 
 def _pareto_mixture(law: Pareto, scale: float, r: int, k_max: int,
@@ -273,10 +361,15 @@ def _pareto_mixture(law: Pareto, scale: float, r: int, k_max: int,
 
     def refine(lo: float, hi: float, budget: float, depth: int) -> None:
         nonlocal tail, err
-        s_lo_p, mass_p, tail_p = _pareto_panel(x0, a, scale, lo, hi, k_max, log_fact)
         mid = 0.5 * (lo + hi)
-        s_lo_1, mass_1, tail_1 = _pareto_panel(x0, a, scale, lo, mid, k_max, log_fact)
-        s_lo_2, mass_2, tail_2 = _pareto_panel(x0, a, scale, mid, hi, k_max, log_fact)
+        s_lo_p, mass_p, coef_p, rates_p = _pareto_panel(x0, a, scale, lo, hi, k_max, log_fact)
+        s_lo_1, mass_1, coef_1, rates_1 = _pareto_panel(x0, a, scale, lo, mid, k_max, log_fact)
+        s_lo_2, mass_2, coef_2, rates_2 = _pareto_panel(x0, a, scale, mid, hi, k_max, log_fact)
+        tails = _poisson_upper_tail(k_max, np.concatenate((rates_p, rates_1, rates_2)))
+        n = rates_p.size
+        tail_p = float(coef_p @ tails[:n])
+        tail_1 = float(coef_1 @ tails[n:2 * n])
+        tail_2 = float(coef_2 @ tails[2 * n:])
 
         # Children windows nest inside the parent's; compare on the parent window.
         fine = np.zeros_like(mass_p)

@@ -114,7 +114,9 @@ def triangle_counts(g: ProjectedGraph) -> np.ndarray:
     ends = np.cumsum(per_edge)
     total = int(ends[-1]) if ends.size else 0
     cuts = np.searchsorted(ends, np.arange(_WEDGE_CHUNK, total, _WEDGE_CHUNK), side="right")
-    bounds = np.unique(np.concatenate(([0], cuts, [es.size])))
+    # The bounds come sorted; drop repeats without np.unique, which imports numpy.ma.
+    bounds = np.concatenate(([0], cuts, [es.size]))
+    bounds = bounds[np.flatnonzero(np.diff(bounds, prepend=-1))]
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         size = per_edge[a:b]
         stop = ends[a:b] - (ends[a - 1] if a else 0)  # wedge ends in the chunk

@@ -413,6 +413,25 @@ def test_stats_imports_no_scipy(tmp_path):
     assert proc.stdout.strip().split("\n")[-1] == "[] 0"
 
 
+@pytest.mark.parametrize("argv", [
+    ["theory", *BASE, "--k-min", "3", "--k-max", "6"],
+    ["compare", *BASE, "--k-min", "3", "--k-max", "6", "--replicates", "2",
+     "--workers", "1", "--output-dir", "{out}"],
+], ids=["theory", "compare"])
+def test_theory_and_compare_import_no_scipy(argv, tmp_path):
+    # The theory is numpy-only, and no command dedupes with np.unique, which
+    # imports numpy.ma.
+    argv = [a.format(out=tmp_path / "out") for a in argv]
+    script = ("import sys, rigclust.cli\n"
+              f"code = rigclust.cli.main({argv!r})\n"
+              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
+              " or m.split('.')[:2] == ['numpy', 'ma']], code)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().split("\n")[-1] == "[] 0"
+
+
 # ---------------------------------------------------------------------------
 # Usage errors and the module entry point
 # ---------------------------------------------------------------------------

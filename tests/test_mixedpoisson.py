@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 from scipy.stats import poisson
 
 from rigclust import (
@@ -20,6 +20,7 @@ from rigclust import (
     pmf_offspring,
     sample_biased,
 )
+from rigclust.mixedpoisson import _log_factorials, _poisson_upper_tail
 
 
 def pareto_mixture_entry(x_min: float, alpha: float, scale: float, s: int) -> float:
@@ -136,6 +137,31 @@ def test_normalization_band():
 
 
 # ---------------------------------------------------------------------------
+# Poisson kernels: numpy against scipy.special
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k_max", [1, 11, 12, 13, 998, 999, 1000, 4096, 8192])
+def test_log_factorials_equal_gammaln(k_max):
+    # Bit for bit across the exact-product entries and both Stirling branches.
+    assert np.array_equal(_log_factorials(k_max), gammaln(np.arange(1, k_max + 2)))
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 63, 64, 128, 1024, 4096])
+def test_poisson_upper_tail_matches_gammainc(k_max):
+    spread = 40.0 * math.sqrt(k_max)
+    rates = np.unique(np.concatenate((
+        np.logspace(-300.0, 300.0, 1201),
+        np.linspace(max(1e-3, k_max - spread), k_max + spread + 40.0, 801),
+        [k_max, k_max + 1.0, k_max + 2.0])))
+    got = _poisson_upper_tail(k_max, rates)
+    # Relative error on normal doubles; below them both sides are ~zero.
+    np.testing.assert_allclose(got, gammainc(k_max + 1, rates), rtol=1e-11,
+                               atol=np.finfo(np.float64).tiny)
+    assert got.min() >= 0.0 and got.max() <= 1.0
+    assert np.all(np.diff(got) >= 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Offspring / two-step laws
 # ---------------------------------------------------------------------------
 
@@ -224,6 +250,13 @@ def test_pmf_point_and_mean():
     assert p.mean() == pytest.approx(3.0)
     assert p.k_max == 8
     assert Pmf.point(0).k_max == 0
+
+
+@pytest.mark.parametrize("k, k_max", [(-1, 5), (-1, None), (6, 5)])
+def test_pmf_point_outside_grid(k, k_max):
+    # A negative k must not wrap round to the end of the grid.
+    with pytest.raises(ValueError, match="point outside grid"):
+        Pmf.point(k, k_max=k_max)
 
 
 def test_pmf_validation():
