@@ -20,8 +20,10 @@ from .mixedpoisson import (
     MixingSpec,
     Pmf,
     QuadratureError,
+    attribute_laws,
     mixing_spec,
     pmf_mixed_poisson,
+    pmf_mixed_poissons,
     pmf_offspring,
     sample_biased,
 )

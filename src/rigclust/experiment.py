@@ -408,19 +408,10 @@ class ComparisonReport:
             f.write("\n")
         with open(os.path.join(out_dir, "runinfo.json"), "w", encoding="utf-8") as f:
             json.dump({"wall_time_s": self.wall_time_s, "workers": self.workers,
-                       "scipy_version": _scipy_version()}, f, indent=2, sort_keys=True)
+                       "numpy_version": np.__version__}, f, indent=2, sort_keys=True)
             f.write("\n")
         if self.config.save_replicates:
             write_replicates(self.spectra, out_dir)
-
-
-def _scipy_version() -> str | None:
-    """Installed scipy version, read without importing scipy; None if absent."""
-    from importlib import metadata
-    try:
-        return metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        return None
 
 
 def _se(values: list) -> float | None:

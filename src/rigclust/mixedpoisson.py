@@ -28,12 +28,25 @@ absolute ``tol`` demanded by the error estimator.  Each panel is accepted only
 if a bisected re-evaluation agrees within its error budget; the subdivision
 rule is deterministic, so results are bit-identical no matter how callers
 partition work.
+
+A panel's Poisson kernel depends on the weight law, its scale and the grid,
+not on the bias order, so :func:`pmf_mixed_poissons` integrates several laws
+of one weight law and scale in lockstep (``theory.LimitLaws`` makes one call
+per weight side).  A panel and its two halves each get one kernel block, for
+the widest window their active laws need, and one upper-tail evaluation per
+distinct grid length.  Every law keeps its own panel edges, node weights,
+error budget, accept/refine decisions, order of additions and
+:class:`QuadratureError`, so each mass and tail is bit for bit what the law
+gets alone.  A law on a narrower window multiplies a contiguous copy of its
+columns, since a strided matrix-vector product can round differently.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +56,10 @@ __all__ = [
     "Pmf",
     "MixingSpec",
     "QuadratureError",
+    "attribute_laws",
     "mixing_spec",
     "pmf_mixed_poisson",
+    "pmf_mixed_poissons",
     "pmf_offspring",
     "sample_biased",
 ]
@@ -201,18 +216,19 @@ def _log_mass_offset(k: int) -> float:
     return 0.5 * math.log(x) + _LOG_SQRT_2PI + float(_stirling_correction(x))
 
 
-def _poisson_rows(rates: np.ndarray, s_lo: int, s_hi: int,
-                  log_fact: np.ndarray) -> np.ndarray:
+def _poisson_rows(rates: np.ndarray, s_lo: int, s_hi: int, log_fact: np.ndarray,
+                  index: np.ndarray) -> np.ndarray:
     """Matrix of Poisson masses, rows over rates, columns s_lo..s_hi.
 
-    Rates must be positive; evaluated in log space so huge rates and deep
-    tails underflow cleanly to zero instead of overflowing.
+    Rates must be positive and ``index`` holds 0.0, 1.0, ... as floats.  The
+    block is built in log space, in place, so huge rates and deep tails
+    underflow cleanly to zero instead of overflowing; callers hold
+    ``np.errstate(under="ignore")``.
     """
-    s = np.arange(s_lo, s_hi + 1)
-    log_rates = np.log(rates)[:, None]
-    logp = s[None, :] * log_rates - rates[:, None] - log_fact[None, s_lo:s_hi + 1]
-    with np.errstate(under="ignore"):
-        return np.exp(logp)
+    block = np.multiply(np.log(rates)[:, None], index[s_lo:s_hi + 1])
+    block -= rates[:, None]
+    block -= log_fact[s_lo:s_hi + 1]
+    return np.exp(block, out=block)
 
 
 def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
@@ -260,13 +276,12 @@ def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
     return out
 
 
-def _support_window(rate_lo: float, rate_hi: float, k_max: int) -> tuple[int, int]:
-    """Index range outside which Poisson(rate) mass underflows for these rates."""
+def _support_window(rate_lo: float, rate_hi: float) -> tuple[int, int]:
+    """Index range outside which Poisson(rate) mass underflows for these rates;
+    the upper end is not clipped to any grid."""
     spread_lo = 42.0 * math.sqrt(rate_lo + 1.0) + 60.0
     spread_hi = 42.0 * math.sqrt(rate_hi + 1.0) + 60.0
-    s_lo = max(0, int(rate_lo - spread_lo))
-    s_hi = min(k_max, int(rate_hi + spread_hi) + 1)
-    return s_lo, s_hi
+    return max(0, int(rate_lo - spread_lo)), int(rate_hi + spread_hi) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +290,7 @@ def _support_window(rate_lo: float, rate_hi: float, k_max: int) -> tuple[int, in
 
 def _atomic_mixture(atoms, scale: float, r: int, k_max: int) -> tuple[np.ndarray, float]:
     log_fact = _log_factorials(k_max)
+    index = np.arange(k_max + 1.0)
     tilt = [p * v**r for v, p in atoms]
     norm = math.fsum(tilt)
     if norm <= 0.0:
@@ -290,13 +306,13 @@ def _atomic_mixture(atoms, scale: float, r: int, k_max: int) -> tuple[np.ndarray
             mass[0] += q
             continue
         rate_arr = np.array([rate])
-        mass += q * _poisson_rows(rate_arr, 0, k_max, log_fact)[0]
+        mass += q * _poisson_rows(rate_arr, 0, k_max, log_fact, index)[0]
         tail += q * float(_poisson_upper_tail(k_max, rate_arr)[0])
     return mass, tail
 
 
 # ---------------------------------------------------------------------------
-# Pareto mixing laws: deterministic adaptive panel quadrature
+# Pareto mixing laws: deterministic adaptive panel quadrature, in lockstep
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -313,100 +329,175 @@ def _panel_widths(w: float, scale: float, ridge_end: float) -> float:
     return 0.5 * w
 
 
-def _pareto_panel(x0: float, a: float, scale: float, lo: float, hi: float,
-                  k_max: int, log_fact: np.ndarray
-                  ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre estimate of the mixture integral over one panel.
+class _Job:
+    """One law of a lockstep quadrature: its top-level panels and running sums."""
 
-    Returns the grid masses from index ``s_lo`` on, and the node weights and
-    rates, so that the caller can weigh the Poisson tails of a panel and its
-    two halves in one call.
-    """
+    def __init__(self, law: Pareto, scale: float, r: int, k_max: int, tol: float):
+        biased = law.size_biased(r)
+        x0, a = biased.x_min, biased.tail_index
+        # Cut the weight line where (i) the biased mixing tail is negligible
+        # and (ii) every Poisson ridge for entries s <= k_max has been passed.
+        tail_eps = min(tol, 1e-12)
+        w_tail = x0 * tail_eps ** (-1.0 / a)
+        ridge_end = (k_max + 8.0 * math.sqrt(k_max + 1.0) + 16.0) / scale
+        w_cut = max(w_tail, ridge_end * 1.0001)
+        edges = [x0]
+        while edges[-1] < w_cut:
+            edges.append(min(w_cut, edges[-1] + _panel_widths(edges[-1], scale, ridge_end)))
+
+        self.k_max = k_max
+        self.amplitude, self.power = a * x0**a, -a - 1.0
+        self.panels = set(zip(edges[:-1], edges[1:]))
+        self.budget = tol / (8.0 * (len(edges) - 1))
+        self.mass = np.zeros(k_max + 1)
+        self.tail = self.err = 0.0
+        # Mass that mixes from weights beyond w_cut: bounded by the biased
+        # tail there, and (by the ridge cut) it lands beyond k_max, so it
+        # belongs to tail_mass.
+        self.beyond = biased.tail(w_cut)
+
+
+class _Panel(NamedTuple):
+    """What a panel's jobs share: nodes, rates and one Poisson kernel block."""
+
+    weights: np.ndarray  # half-width times the Gauss-Legendre weights
+    w: np.ndarray
+    rates: np.ndarray
+    s_lo: int
+    s_hi: int  # window end before any grid clips it
+    block: np.ndarray | None  # columns s_lo..min(s_hi, largest active grid)
+
+
+def _panel(lo: float, hi: float, scale: float, k_hi: int, log_fact: np.ndarray,
+           index: np.ndarray) -> _Panel:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     w = mid + half * _GL_NODES
-    coef = (half * _GL_WEIGHTS) * (a * x0**a) * w ** (-a - 1.0)
     rates = scale * w
     # Window from the panel *endpoints* so a child's window nests in its
     # parent's (node positions alone would not nest).
-    s_lo, s_hi = _support_window(scale * lo, scale * hi, k_max)
-    if s_lo <= s_hi:
-        block = _poisson_rows(rates, s_lo, s_hi, log_fact)
-        mass_slice = coef @ block
-    else:  # entire Poisson bulk is beyond the grid
-        s_lo, mass_slice = 0, np.zeros(0)
-    return s_lo, mass_slice, coef, rates
+    s_lo, s_hi = _support_window(scale * lo, scale * hi)
+    top = min(s_hi, k_hi)
+    block = _poisson_rows(rates, s_lo, top, log_fact, index) if s_lo <= top else None
+    return _Panel(half * _GL_WEIGHTS, w, rates, s_lo, s_hi, block)
 
 
-def _pareto_mixture(law: Pareto, scale: float, r: int, k_max: int,
-                    tol: float) -> tuple[np.ndarray, float]:
-    biased = law.size_biased(r)
-    x0, a = biased.x_min, biased.tail_index
+def _job_panel(job: _Job, panel: _Panel) -> tuple[int, np.ndarray, np.ndarray]:
+    """Grid masses of one job over one panel, from index ``s_lo`` on, and its
+    node weights."""
+    coef = panel.weights * job.amplitude * panel.w ** job.power
+    s_hi = min(panel.s_hi, job.k_max)
+    if panel.s_lo > s_hi:  # entire Poisson bulk is beyond the grid
+        return 0, np.zeros(0), coef
+    block = panel.block
+    if s_hi - panel.s_lo + 1 < block.shape[1]:
+        # A narrower job gets its own contiguous copy: the matrix-vector
+        # product of a strided view can round differently.
+        block = np.ascontiguousarray(block[:, :s_hi - panel.s_lo + 1])
+    return panel.s_lo, coef @ block, coef
 
-    # Cut the weight line where (i) the biased mixing tail is negligible and
-    # (ii) every Poisson ridge for entries s <= k_max has been passed.
-    tail_eps = min(tol, 1e-12)
-    w_tail = x0 * tail_eps ** (-1.0 / a)
-    ridge_end = (k_max + 8.0 * math.sqrt(k_max + 1.0) + 16.0) / scale
-    w_cut = max(w_tail, ridge_end * 1.0001)
 
-    edges = [x0]
-    while edges[-1] < w_cut:
-        edges.append(min(w_cut, edges[-1] + _panel_widths(edges[-1], scale, ridge_end)))
-    n_panels = len(edges) - 1
+def _pareto_mixtures(law: Pareto, scale: float, jobs: list[tuple[int, int]],
+                     tol: float) -> list[tuple[np.ndarray, float]]:
+    """Masses and tail bounds of the laws ``(bias order, k_max)`` of one
+    Pareto law and scale, integrated in lockstep."""
+    states = [_Job(law, scale, r, k_max, tol) for r, k_max in jobs]
+    k_top = max(job.k_max for job in states)
+    log_fact = _log_factorials(k_top)
+    index = np.arange(k_top + 1.0)
+    n = _GL_NODES.size
 
-    log_fact = _log_factorials(k_max)
-    mass = np.zeros(k_max + 1)
-    tail = err = 0.0
+    def settle(lo: float, mid: float, hi: float,
+               jobs: list[_Job]) -> list[tuple[int, np.ndarray, float, float]]:
+        """Per job: the start and masses of the two halves of [lo, hi] on the
+        parent window, their tail mass and the panel's error estimate.  The
+        kernel blocks die on return, before :func:`refine` recurses."""
+        k_hi = max(job.k_max for job in jobs)
+        panels = [_panel(a, b, scale, k_hi, log_fact, index)
+                  for a, b in ((lo, hi), (lo, mid), (mid, hi))]
+        rates = np.concatenate([panel.rates for panel in panels])
+        tails = {k: _poisson_upper_tail(k, rates) for k in {job.k_max for job in jobs}}
+        out = []
+        for job in jobs:
+            (s_lo_p, mass_p, coef_p), (s_lo_1, mass_1, coef_1), (s_lo_2, mass_2, coef_2) = (
+                _job_panel(job, panel) for panel in panels)
+            t = tails[job.k_max]
+            tail_p = float(coef_p @ t[:n])
+            tail_1 = float(coef_1 @ t[n:2 * n])
+            tail_2 = float(coef_2 @ t[2 * n:])
 
-    def refine(lo: float, hi: float, budget: float, depth: int) -> None:
-        nonlocal tail, err
+            # Children windows nest inside the parent's; compare on the parent window.
+            fine = np.zeros_like(mass_p)
+            if mass_1.size:
+                fine[s_lo_1 - s_lo_p:s_lo_1 - s_lo_p + mass_1.size] += mass_1
+            if mass_2.size:
+                fine[s_lo_2 - s_lo_p:s_lo_2 - s_lo_p + mass_2.size] += mass_2
+            err_mass = float(np.max(np.abs(fine - mass_p))) if mass_p.size else 0.0
+            out.append((s_lo_p, fine, tail_1 + tail_2,
+                        max(err_mass, abs(tail_1 + tail_2 - tail_p))))
+        return out
+
+    def refine(lo: float, hi: float, active: list[tuple[_Job, float]], depth: int) -> None:
         mid = 0.5 * (lo + hi)
-        s_lo_p, mass_p, coef_p, rates_p = _pareto_panel(x0, a, scale, lo, hi, k_max, log_fact)
-        s_lo_1, mass_1, coef_1, rates_1 = _pareto_panel(x0, a, scale, lo, mid, k_max, log_fact)
-        s_lo_2, mass_2, coef_2, rates_2 = _pareto_panel(x0, a, scale, mid, hi, k_max, log_fact)
-        tails = _poisson_upper_tail(k_max, np.concatenate((rates_p, rates_1, rates_2)))
-        n = rates_p.size
-        tail_p = float(coef_p @ tails[:n])
-        tail_1 = float(coef_1 @ tails[n:2 * n])
-        tail_2 = float(coef_2 @ tails[2 * n:])
+        recurse = []
+        for (job, budget), (s_lo, fine, tail, panel_err) in zip(
+                active, settle(lo, mid, hi, [job for job, _ in active])):
+            if panel_err <= budget or depth >= _MAX_DEPTH:
+                if fine.size:
+                    job.mass[s_lo:s_lo + fine.size] += fine
+                job.tail += tail
+                job.err += panel_err
+                # The bound only grows, so fail as soon as it passes tol.
+                if job.err > tol:
+                    raise QuadratureError(
+                        f"panel refinement reached depth {_MAX_DEPTH} with accumulated "
+                        f"error bound {job.err:.3e} > tol {tol:.3e}", achieved=job.err)
+            else:
+                recurse.append((job, 0.5 * budget))
+        if recurse:
+            refine(lo, mid, recurse, depth + 1)
+            refine(mid, hi, recurse, depth + 1)
 
-        # Children windows nest inside the parent's; compare on the parent window.
-        fine = np.zeros_like(mass_p)
-        if mass_1.size:
-            fine[s_lo_1 - s_lo_p:s_lo_1 - s_lo_p + mass_1.size] += mass_1
-        if mass_2.size:
-            fine[s_lo_2 - s_lo_p:s_lo_2 - s_lo_p + mass_2.size] += mass_2
-        err_mass = float(np.max(np.abs(fine - mass_p))) if mass_p.size else 0.0
-        panel_err = max(err_mass, abs(tail_1 + tail_2 - tail_p))
-
-        if panel_err <= budget or depth >= _MAX_DEPTH:
-            if mass_p.size:
-                mass[s_lo_p:s_lo_p + fine.size] += fine
-            tail += tail_1 + tail_2
-            err += panel_err
-            # The bound only grows, so fail as soon as it passes tol.
-            if err > tol:
-                raise QuadratureError(
-                    f"panel refinement reached depth {_MAX_DEPTH} with accumulated "
-                    f"error bound {err:.3e} > tol {tol:.3e}", achieved=err)
-            return
-        refine(lo, mid, 0.5 * budget, depth + 1)
-        refine(mid, hi, 0.5 * budget, depth + 1)
-
-    budget = tol / (8.0 * n_panels)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        refine(lo, hi, budget, 0)
-
-    # Mass that mixes from weights beyond w_cut: bounded by the biased tail
-    # there, and (by the ridge cut) it lands beyond k_max, so it belongs to
-    # tail_mass.
-    return mass, tail + biased.tail(w_cut)
+    # Sorted by their left ends, every job meets its own panels in order.
+    for lo, hi in sorted(set().union(*(job.panels for job in states))):
+        refine(lo, hi, [(job, job.budget) for job in states if (lo, hi) in job.panels], 0)
+    return [(job.mass, job.tail + job.beyond) for job in states]
 
 
 # ---------------------------------------------------------------------------
 # Public constructors
 # ---------------------------------------------------------------------------
+
+def pmf_mixed_poissons(jobs: Sequence[tuple[MixingSpec, int]],
+                       tol: float = 1e-10) -> list[Pmf]:
+    """Numeric pmfs of several mixed Poisson laws of one weight law and scale.
+
+    ``jobs`` lists ``(spec, k_max)`` pairs whose specs differ at most in their
+    bias order; each pmf is bit for bit the one :func:`pmf_mixed_poisson`
+    gives for its pair alone.  For Pareto mixing the laws are integrated in
+    lockstep: a panel that several of them use gets one Poisson kernel block
+    and one upper-tail evaluation per grid length, while every law keeps its
+    own panels, error budget, accept/refine decisions and order of additions.
+    """
+    if not jobs:
+        return []
+    law, scale = jobs[0][0].weight_law, jobs[0][0].scale
+    if any(spec.weight_law != law or spec.scale != scale for spec, _ in jobs):
+        raise ValueError("jobs must share one weight law and scale")
+    if any(k_max < 1 for _, k_max in jobs):
+        raise ValueError("k_max must be >= 1")
+    orders = [(spec.bias_order, int(k_max)) for spec, k_max in jobs]
+    with np.errstate(under="ignore"):
+        if isinstance(law, Pareto):
+            return [Pmf(*out) for out in _pareto_mixtures(law, scale, orders, tol)]
+        if isinstance(law, Degenerate):
+            atoms = ((law.value, 1.0),)
+        elif isinstance(law, Finite):
+            atoms = law.atoms
+        else:  # pragma: no cover - no other laws exist today
+            raise TypeError(f"unsupported weight law {type(law).__name__}")
+        return [Pmf(*_atomic_mixture(atoms, scale, r, k_max)) for r, k_max in orders]
+
 
 def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
     """Numeric pmf of the size-biased mixed Poisson law on ``0..k_max``.
@@ -415,20 +506,31 @@ def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
     ``rate = scale * W`` and ``r = spec.bias_order``, to absolute accuracy
     ``tol`` per entry (and, for Pareto mixing, near-full relative accuracy
     thanks to ridge-resolving panels).  The grid is exactly the one asked
-    for; ``tail_mass`` bounds the mass beyond ``k_max``, however large.
+    for; ``tail_mass`` bounds the mass beyond ``k_max``, however large.  This
+    is the one-law case of :func:`pmf_mixed_poissons`.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    law, k_max = spec.weight_law, int(k_max)
-    if isinstance(law, Pareto):
-        return Pmf(*_pareto_mixture(law, spec.scale, spec.bias_order, k_max, tol))
-    if isinstance(law, Degenerate):
-        atoms = ((law.value, 1.0),)
-    elif isinstance(law, Finite):
-        atoms = law.atoms
-    else:  # pragma: no cover - no other laws exist today
-        raise TypeError(f"unsupported weight law {type(law).__name__}")
-    return Pmf(*_atomic_mixture(atoms, spec.scale, spec.bias_order, k_max))
+    return pmf_mixed_poissons([(spec, k_max)], tol)[0]
+
+
+def attribute_laws(params: ModelParams, k_max: int, bias_orders: Sequence[int],
+                   tol: float = 1e-10) -> list[Pmf]:
+    """The offspring law, then the attribute laws of ``bias_orders``, all on
+    ``0..k_max`` and from one lockstep quadrature (see :func:`pmf_offspring`
+    and :func:`mixing_spec`)."""
+    mean = params.a(1) * params.b(1) / math.sqrt(params.beta)
+    if mean <= 0.0:
+        raise DomainError("offspring law undefined: E[N] = 0 "
+                          "(a weight law is degenerate at zero)")
+    base, *laws = pmf_mixed_poissons(
+        [(mixing_spec(params, "attribute", 0), k_max + 1)]
+        + [(mixing_spec(params, "attribute", r), k_max) for r in bias_orders], tol)
+    s = np.arange(base.mass.size - 1)
+    mass = (s + 1) * base.mass[1:] / mean
+    # The exact deficit of the shifted sum is E[N; N > k_max+1]/E[N]; the grid
+    # entries are accurate to ~1e-13 relative, so 1 - sum is a faithful
+    # tail bound at the tolerances used downstream.
+    tail = max(0.0, 1.0 - math.fsum(mass))
+    return [Pmf(mass, tail), *laws]
 
 
 def pmf_offspring(params: ModelParams, k_max: int, tol: float = 1e-10) -> Pmf:
@@ -441,20 +543,10 @@ def pmf_offspring(params: ModelParams, k_max: int, tol: float = 1e-10) -> Pmf:
         P(tau = s) = (s + 1) P(N = s + 1) / E[N],   E[N] computed in closed form.
 
     Equivalently tau is the bias_order=1 mixed Poisson law; the shift formula
-    below is the primary route and the identity is exploited in tests.
+    (in :func:`attribute_laws`) is the primary route and the identity is
+    exploited in tests.
     """
-    mean = params.a(1) * params.b(1) / math.sqrt(params.beta)
-    if mean <= 0.0:
-        raise DomainError("offspring law undefined: E[N] = 0 "
-                          "(a weight law is degenerate at zero)")
-    base = pmf_mixed_poisson(mixing_spec(params, "attribute", 0), k_max + 1, tol)
-    s = np.arange(base.mass.size - 1)
-    mass = (s + 1) * base.mass[1:] / mean
-    # The exact deficit of the shifted sum is E[N; N > k_max+1]/E[N]; the grid
-    # entries are accurate to ~1e-13 relative, so 1 - sum is a faithful
-    # tail bound at the tolerances used downstream.
-    tail = max(0.0, 1.0 - math.fsum(mass))
-    return Pmf(mass, tail)
+    return attribute_laws(params, k_max, (), tol)[0]
 
 
 def sample_biased(spec: MixingSpec, rng: np.random.Generator, size=None):

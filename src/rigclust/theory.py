@@ -37,7 +37,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .mixedpoisson import Pmf, mixing_spec, pmf_mixed_poisson, pmf_offspring
+from .mixedpoisson import Pmf, attribute_laws, mixing_spec, pmf_mixed_poissons
+# Not called here; kept so that the names traced in rigclust.theory still resolve.
+from .mixedpoisson import pmf_mixed_poisson, pmf_offspring  # noqa: F401
 from .stoppedsum import StoppedSumSpec, convolve, pmf_stopped_sum, tail_from_pmf
 from .weights import InfiniteMomentError, ModelParams, Pareto
 
@@ -126,13 +128,10 @@ class LimitLaws:
         self.k_max = int(k_max)
         self.tol = float(tol)
 
-        self.tau = pmf_offspring(params, self.k_max, tol)
-        self.lam2 = pmf_mixed_poisson(
-            mixing_spec(params, "attribute", 2), self.k_max, tol)
-        self.lam3 = pmf_mixed_poisson(
-            mixing_spec(params, "attribute", 3), self.k_max, tol)
-        count1 = pmf_mixed_poisson(mixing_spec(params, "actor", 1), self.k_max, tol)
-        count2 = pmf_mixed_poisson(mixing_spec(params, "actor", 2), self.k_max, tol)
+        # One lockstep quadrature per weight side.
+        self.tau, self.lam2, self.lam3 = attribute_laws(params, self.k_max, (2, 3), tol)
+        count1, count2 = pmf_mixed_poissons(
+            [(mixing_spec(params, "actor", r), self.k_max) for r in (1, 2)], tol)
         self.d1 = pmf_stopped_sum(StoppedSumSpec(count1, self.tau), self.k_max, tol)
         self.d2 = pmf_stopped_sum(StoppedSumSpec(count2, self.tau), self.k_max, tol)
 

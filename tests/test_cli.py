@@ -162,6 +162,17 @@ def test_unreachable_tol_fails_fast():
     assert proc.stderr.count("\n") == 1
 
 
+def test_tol_far_below_round_off_exits_one(capsys):
+    # Both weight sides are lockstep quadratures; the first law whose error
+    # bound passes tol ends the run with one line.
+    code, out, err = run_main(["theory", *BASE, "--k-min", "3", "--k-max", "15",
+                               "--tol", "1e-300"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: panel refinement reached depth 14 with "
+                          "accumulated error bound ")
+    assert err.endswith(" > tol 1.000e-300\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1"])
 def test_tol_outside_unit_interval_exit_one(capsys, tol):
     code, _, err = run_main(["theory", *BASE, f"--tol={tol}"], capsys)
@@ -419,13 +430,14 @@ def test_stats_imports_no_scipy(tmp_path):
      "--workers", "1", "--output-dir", "{out}"],
 ], ids=["theory", "compare"])
 def test_theory_and_compare_import_no_scipy(argv, tmp_path):
-    # The theory is numpy-only, and no command dedupes with np.unique, which
-    # imports numpy.ma.
+    # The theory is numpy-only, no command dedupes with np.unique, which
+    # imports numpy.ma, and runinfo.json reads no package metadata.
     argv = [a.format(out=tmp_path / "out") for a in argv]
     script = ("import sys, rigclust.cli\n"
               f"code = rigclust.cli.main({argv!r})\n"
               "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
-              " or m.split('.')[:2] == ['numpy', 'ma']], code)")
+              " or m.split('.')[:2] in (['numpy', 'ma'], ['importlib', 'metadata'])],"
+              " code)")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -299,7 +299,7 @@ def test_run_writes_report_files(small_report):
     assert meta["config"]["n"] == "300"
     assert meta["delta_theory"] == 0.0  # alpha 7, gamma 6
     runinfo = json.loads((out / "runinfo.json").read_text())
-    assert set(runinfo) == {"wall_time_s", "workers", "scipy_version"}
+    assert set(runinfo) == {"wall_time_s", "workers", "numpy_version"}
     reps = sorted(p.name for p in (out / "replicates").iterdir())
     assert reps == [f"replicate_{i:04d}.csv" for i in range(4)]
 

@@ -1,6 +1,7 @@
 """Mixed-Poisson pmf construction against independent references."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from rigclust import (
     ModelParams,
     Pareto,
     Pmf,
+    QuadratureError,
     mixing_spec,
     pmf_mixed_poisson,
+    pmf_mixed_poissons,
     pmf_offspring,
     sample_biased,
 )
@@ -289,3 +292,73 @@ def test_scale_validation():
         MixingSpec(Pareto(1.0, 6.0), scale=0.0)
     with pytest.raises(Exception):
         MixingSpec(Pareto(1.0, 6.0), scale=1.0, bias_order=6)  # moment blows up
+
+
+# ---------------------------------------------------------------------------
+# Lockstep quadrature of several laws
+# ---------------------------------------------------------------------------
+
+def lockstep_jobs(params, role, grids):
+    return [(mixing_spec(params, role, r), k) for r, k in grids]
+
+
+@pytest.mark.parametrize("k_max", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("laws", [(Pareto(2.0, 7.0), Pareto(2.0, 6.0)),
+                                  (Pareto(1.0, 9.0), Pareto(1.0, 5.5))],
+                         ids=["pareto(2,7)/(2,6)", "pareto(1,9)/(1,5.5)"])
+def test_batched_laws_equal_laws_alone(laws, k_max):
+    # The two weight sides of LimitLaws: an order-0 law one entry longer
+    # beside orders 2 and 3, and orders 1 and 2.  Sharing kernel blocks and
+    # tail evaluations between them moves no bit of any mass or tail.
+    params = ModelParams(100, 100, 1.0, *laws)
+    for jobs in (lockstep_jobs(params, "attribute", [(0, k_max + 1), (2, k_max), (3, k_max)]),
+                 lockstep_jobs(params, "actor", [(1, k_max), (2, k_max)])):
+        for (spec, k), got in zip(jobs, pmf_mixed_poissons(jobs)):
+            alone = pmf_mixed_poisson(spec, k)
+            assert np.array_equal(got.mass, alone.mass)
+            assert got.tail_mass == alone.tail_mass
+
+
+def test_batched_laws_on_unrelated_grids():
+    # Jobs in no particular order, with grids far apart and one law twice.
+    params = params_pareto(6.6, 5.1, 1.3)
+    jobs = lockstep_jobs(params, "attribute", [(2, 300), (0, 64), (3, 1000), (2, 300), (1, 2)])
+    for (spec, k), got in zip(jobs, pmf_mixed_poissons(jobs)):
+        alone = pmf_mixed_poisson(spec, k)
+        assert got.mass.size == k + 1
+        assert np.array_equal(got.mass, alone.mass)
+        assert got.tail_mass == alone.tail_mass
+
+
+def test_batched_atomic_laws():
+    params = ModelParams(10, 10, 2.0, Finite(((1.0, 0.5), (3.0, 0.5))), Degenerate(2.0))
+    jobs = lockstep_jobs(params, "attribute", [(0, 40), (2, 30)])
+    for (spec, k), got in zip(jobs, pmf_mixed_poissons(jobs)):
+        alone = pmf_mixed_poisson(spec, k)
+        assert np.array_equal(got.mass, alone.mass) and got.tail_mass == alone.tail_mass
+
+
+def test_batch_validation():
+    assert pmf_mixed_poissons([]) == []
+    spec = MixingSpec(Pareto(1.0, 6.0), scale=1.0)
+    with pytest.raises(ValueError, match="one weight law and scale"):
+        pmf_mixed_poissons([(spec, 8), (MixingSpec(Pareto(1.0, 6.0), scale=2.0), 8)])
+    with pytest.raises(ValueError, match="one weight law and scale"):
+        pmf_mixed_poissons([(spec, 8), (MixingSpec(Pareto(1.0, 7.0), scale=1.0), 8)])
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        pmf_mixed_poissons([(spec, 8), (spec, 0)])
+
+
+def test_unreachable_tol_raises_in_lockstep():
+    # A law that cannot reach tol fails with the message it gives alone,
+    # beside laws of other orders and grids.
+    spec = MixingSpec(Pareto(1.0, 7.0), scale=2.0, bias_order=3)
+    with pytest.raises(QuadratureError) as alone:
+        pmf_mixed_poisson(spec, 64, tol=1e-300)
+    assert re.fullmatch(r"panel refinement reached depth 14 with accumulated error "
+                        r"bound \S+ > tol 1\.000e-300", str(alone.value))
+    assert alone.value.achieved > 1e-300
+    with pytest.raises(QuadratureError) as batched:
+        pmf_mixed_poissons([(spec, 64), (MixingSpec(Pareto(1.0, 7.0), 2.0, 0), 65)],
+                           tol=1e-300)
+    assert str(batched.value) == str(alone.value)

@@ -1,11 +1,13 @@
 """Limit-formula machinery against closed-form and series references."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
+import rigclust.mixedpoisson as mp
 import rigclust.theory as th
 from rigclust import (
     Degenerate,
@@ -16,6 +18,7 @@ from rigclust import (
     StoppedSumSpec,
     mixing_spec,
     pmf_mixed_poisson,
+    pmf_offspring,
     pmf_stopped_sum,
     attribute_tail_asymptotic,
     coefficient_from_ratio,
@@ -192,6 +195,39 @@ def test_shift_domain_errors(pareto_laws):
         laws.point_weights(1)
     with pytest.raises(ValueError):
         laws.point_weights(1024 + 3)
+
+
+def test_limit_laws_build_one_kernel_block_per_panel_per_side(monkeypatch):
+    # Each weight side is one lockstep quadrature: a panel that several of
+    # its laws use gets one Poisson kernel block, where five separate builds
+    # would each compute their own, and every ingredient keeps its bits.
+    params = ModelParams(10000, 10000, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0))
+    kernel = mp._poisson_rows
+    blocks = collections.Counter()  # rates of a block -> calls
+
+    def counted(rates, *args):
+        blocks[rates.tobytes()] += 1
+        return kernel(rates, *args)
+
+    monkeypatch.setattr(mp, "_poisson_rows", counted)
+    laws = LimitLaws(params, 256)
+    shared, blocks = blocks, collections.Counter()
+    tau = pmf_offspring(params, 256)
+    alone = [tau]
+    for role, r in (("attribute", 2), ("attribute", 3), ("actor", 1), ("actor", 2)):
+        alone.append(pmf_mixed_poisson(mixing_spec(params, role, r), 256))
+    separate_calls = sum(blocks.values())
+    # No panel of this build is refined, so each panel has exactly one block.
+    assert set(shared.values()) == {1}
+    assert set(shared) == set(blocks)
+    assert sum(shared.values()) < 0.5 * separate_calls
+
+    _, lam2, lam3, count1, count2 = alone
+    d1 = pmf_stopped_sum(StoppedSumSpec(count1, tau), 256, 1e-10)
+    d2 = pmf_stopped_sum(StoppedSumSpec(count2, tau), 256, 1e-10)
+    for got, want in ((laws.tau, tau), (laws.lam2, lam2), (laws.lam3, lam3),
+                      (laws.d1, d1), (laws.d2, d2)):
+        assert np.array_equal(got.mass, want.mass) and got.tail_mass == want.tail_mass
 
 
 def test_model_params_validation():
