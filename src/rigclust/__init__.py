@@ -27,7 +27,13 @@ from .mixedpoisson import (
     pmf_offspring,
     sample_biased,
 )
-from .stoppedsum import StoppedSumSpec, convolve, pmf_stopped_sum, tail_from_pmf
+from .stoppedsum import (
+    StoppedSumSpec,
+    convolve,
+    pmf_stopped_sum,
+    pmf_stopped_sums,
+    tail_from_pmf,
+)
 from .theory import (
     Interval,
     LimitLaws,

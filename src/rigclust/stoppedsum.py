@@ -13,18 +13,28 @@ the result is a valid :class:`~rigclust.mixedpoisson.Pmf` whose tail interval
 is honest.  The loop stops as soon as no later term can change a bit of the
 accumulated pmf, which on a wide grid comes long before the count runs out;
 each convolution is a single C-level ``numpy.convolve``.
+
+The powers ``tau^{*i}`` depend on the summand alone, so
+:func:`pmf_stopped_sums` evaluates several counts over one summand with one
+power sequence (``theory.LimitLaws`` makes one call for both degree laws).
+The sequence runs until the last count still running stops.  Every count
+keeps its own truncation, early stop and order of additions, so each mass and
+tail is bit for bit what the count gets alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mixedpoisson import Pmf
 
-__all__ = ["StoppedSumSpec", "convolve", "pmf_stopped_sum", "tail_from_pmf"]
+__all__ = [
+    "StoppedSumSpec", "convolve", "pmf_stopped_sum", "pmf_stopped_sums", "tail_from_pmf",
+]
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,74 @@ def convolve(p: Pmf, q: Pmf, k_max: int | None = None) -> Pmf:
     return Pmf(mass, _clip_tail(mass, p.tail_mass + q.tail_mass + pushed))
 
 
+class _Count:
+    """One count of a shared stopped-sum loop: its truncation and running sums."""
+
+    def __init__(self, count: Pmf, k_max: int, tol: float):
+        # Remaining count probability after each i: suffix sums + the count's
+        # own tail bound.
+        suffix = np.concatenate([np.cumsum(count.mass[::-1])[::-1], [0.0]])
+        below = np.flatnonzero(suffix[1:] + count.tail_mass < tol)
+        self.n_cut = int(below[0]) if below.size else count.mass.size - 1
+        self.weights = count.mass
+        self.within = np.cumsum(count.mass[self.n_cut::-1])[::-1]  # P(i <= N <= n_cut)
+        self.acc = np.zeros(k_max + 1)
+        self.acc[0] = count.mass[0]  # the empty sum
+        self.acc_tail = float(suffix[self.n_cut + 1]) + count.tail_mass
+
+
+def pmf_stopped_sums(counts: Sequence[Pmf], summand: Pmf, k_max: int,
+                     tol: float = 1e-10) -> list[Pmf]:
+    """Pmfs of ``sum_{j <= N} tau_j`` for each count law ``N`` in ``counts``
+    and one summand law ``tau``, all on the grid ``0..k_max``.
+
+    The counts share one sequence of convolution powers tau^{*i}, which runs
+    until the last count still running stops.  Each count keeps its own
+    truncation, early stop and order of additions, so each pmf is bit for bit
+    the one :func:`pmf_stopped_sum` gives for its count alone.
+    """
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
+    states = [_Count(count, k_max, tol) for count in counts]
+
+    power = np.zeros(k_max + 1)
+    power[0] = 1.0
+    power_tail = 0.0
+    running = [state for state in states if state.n_cut >= 1]
+    i = 1
+    while running:
+        # Each later addition w_j * tau^{*j}[s] is at most within[i] * grid:
+        # summands are >= 0 and sum(tau) <= 1, so the grid mass of the powers
+        # never grows.  acc only grows, so its spacing does too, and
+        # fl(a + x) = a for 0 <= x < ulp(a)/2: every skipped addition would
+        # be a no-op.  The factor 0.25 absorbs rounding in the product and the
+        # 1e-9 normalization slack of Pmf.  A zero in acc has spacing 5e-324,
+        # so the stop cannot fire while one remains.  The skipped tail terms
+        # sum to at most within[i] * (power_tail + (n_cut - i + 1) * summand
+        # tail + grid): the mass pushed off the grid telescopes to <= grid.
+        grid = float(power.sum()) * (1 + 1e-12)
+        going = []
+        for state in running:
+            later = float(state.within[i])
+            if later * grid < 0.25 * np.spacing(state.acc).min():
+                state.acc_tail += later * (power_tail + (state.n_cut - i + 1)
+                                           * summand.tail_mass + grid)
+            else:
+                going.append(state)
+        if not going:
+            break
+        power, pushed = _convolve_raw(power, summand.mass, k_max)
+        power_tail += summand.tail_mass + pushed
+        for state in going:
+            w = state.weights[i]
+            if w != 0.0:
+                state.acc += w * power
+                state.acc_tail += w * power_tail
+        running = [state for state in going if state.n_cut > i]
+        i += 1
+    return [Pmf(state.acc, _clip_tail(state.acc, state.acc_tail)) for state in states]
+
+
 def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
                     tol: float = 1e-10) -> Pmf:
     """Pmf of ``sum_{j <= N} tau_j`` for ``N ~ spec.count``, ``tau ~ spec.summand``.
@@ -84,53 +162,13 @@ def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
     tail + G) to the tail bound, an upper bound on what the full loop adds.
 
     The default grid covers the full sum support ``count.k_max *
-    summand.k_max``, as in :func:`convolve`.
+    summand.k_max``, as in :func:`convolve`.  This is the one-count case of
+    :func:`pmf_stopped_sums`.
     """
     count, summand = spec.count, spec.summand
     if k_max is None:
         k_max = count.k_max * summand.k_max
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-
-    # Remaining count probability after each i: suffix sums + the count's own
-    # tail bound.
-    suffix = np.concatenate([np.cumsum(count.mass[::-1])[::-1], [0.0]])
-    below = np.flatnonzero(suffix[1:] + count.tail_mass < tol)
-    n_cut = int(below[0]) if below.size else count.mass.size - 1
-    remaining = float(suffix[n_cut + 1]) + count.tail_mass
-
-    within = np.cumsum(count.mass[n_cut::-1])[::-1]  # P(i <= N <= n_cut)
-
-    acc = np.zeros(k_max + 1)
-    acc[0] = count.mass[0]  # the empty sum
-    acc_tail = remaining
-
-    power = np.zeros(k_max + 1)
-    power[0] = 1.0
-    power_tail = 0.0
-    for i in range(1, n_cut + 1):
-        # Each later addition w_j * tau^{*j}[s] is at most within[i] * grid:
-        # summands are >= 0 and sum(tau) <= 1, so the grid mass of the powers
-        # never grows.  acc only grows, so its spacing does too, and
-        # fl(a + x) = a for 0 <= x < ulp(a)/2: every skipped addition would
-        # be a no-op.  The factor 0.25 absorbs rounding in the product and the
-        # 1e-9 normalization slack of Pmf.  A zero in acc has spacing 5e-324,
-        # so the stop cannot fire while one remains.  The skipped tail terms
-        # sum to at most within[i] * (power_tail + (n_cut - i + 1) * summand
-        # tail + grid): the mass pushed off the grid telescopes to <= grid.
-        grid = float(power.sum()) * (1 + 1e-12)
-        later = float(within[i])
-        if later * grid < 0.25 * np.spacing(acc).min():
-            acc_tail += later * (power_tail + (n_cut - i + 1) * summand.tail_mass
-                                 + grid)
-            break
-        power, pushed = _convolve_raw(power, summand.mass, k_max)
-        power_tail += summand.tail_mass + pushed
-        w = count.mass[i]
-        if w != 0.0:
-            acc += w * power
-            acc_tail += w * power_tail
-    return Pmf(acc, _clip_tail(acc, acc_tail))
+    return pmf_stopped_sums([count], summand, k_max, tol)[0]
 
 
 def tail_from_pmf(p: Pmf, k: int) -> tuple[float, float]:

@@ -38,9 +38,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .mixedpoisson import Pmf, attribute_laws, mixing_spec, pmf_mixed_poissons
+from .stoppedsum import convolve, pmf_stopped_sums, tail_from_pmf
 # Not called here; kept so that the names traced in rigclust.theory still resolve.
 from .mixedpoisson import pmf_mixed_poisson, pmf_offspring  # noqa: F401
-from .stoppedsum import StoppedSumSpec, convolve, pmf_stopped_sum, tail_from_pmf
+from .stoppedsum import pmf_stopped_sum  # noqa: F401
 from .weights import InfiniteMomentError, ModelParams, Pareto
 
 __all__ = [
@@ -128,12 +129,11 @@ class LimitLaws:
         self.k_max = int(k_max)
         self.tol = float(tol)
 
-        # One lockstep quadrature per weight side.
+        # One lockstep quadrature per weight side, one power sequence of tau.
         self.tau, self.lam2, self.lam3 = attribute_laws(params, self.k_max, (2, 3), tol)
         count1, count2 = pmf_mixed_poissons(
             [(mixing_spec(params, "actor", r), self.k_max) for r in (1, 2)], tol)
-        self.d1 = pmf_stopped_sum(StoppedSumSpec(count1, self.tau), self.k_max, tol)
-        self.d2 = pmf_stopped_sum(StoppedSumSpec(count2, self.tau), self.k_max, tol)
+        self.d1, self.d2 = pmf_stopped_sums([count1, count2], self.tau, self.k_max, tol)
 
         self.closed_law: Pmf = convolve(self.d1, self.lam3, self.k_max)
         self.open_law: Pmf = convolve(

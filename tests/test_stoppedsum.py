@@ -18,6 +18,7 @@ from rigclust import (
     pmf_mixed_poisson,
     pmf_offspring,
     pmf_stopped_sum,
+    pmf_stopped_sums,
     tail_from_pmf,
 )
 from rigclust import stoppedsum
@@ -265,6 +266,42 @@ def test_early_stop_skips_most_convolutions(monkeypatch):
     pmf_stopped_sum(spec, 1024, 1e-10)
     assert len(calls) <= 240  # the full loop convolves all 1024 count terms
 
+
+
+def _shared_cases():
+    dense = [actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), r, 1024)
+             for r in (1, 2)]
+    cut = [actor_stopped_sum(law_pair("pareto(1,7)", "pareto(1,6)"), r, 128)
+           for r in (1, 2)]
+    return {
+        # The two early stops fire at different i.
+        "theory-dense": ([spec.count for spec in dense], dense[0].summand, 1024),
+        # Count truncation ends both loops before any early stop.
+        "truncated": ([spec.count for spec in cut], cut[0].summand, 128),
+        # A count with no term beyond the empty sum runs beside a real one.
+        "point-zero": ([Pmf.point(0), dense[1].count], dense[1].summand, 1024),
+    }
+
+
+@pytest.mark.parametrize("case", ["theory-dense", "truncated", "point-zero"])
+def test_shared_powers_are_bit_identical(case):
+    counts, summand, k_max = _shared_cases()[case]
+    shared = pmf_stopped_sums(counts, summand, k_max, 1e-10)
+    assert len(shared) == len(counts)
+    for got, count in zip(shared, counts):
+        alone = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max, 1e-10)
+        full = _full_loop(count, summand, k_max, 1e-10)
+        assert np.array_equal(got.mass, alone.mass) and got.tail_mass == alone.tail_mass
+        assert np.array_equal(got.mass, full.mass)
+        assert full.tail_mass * (1 - 1e-12) <= got.tail_mass <= full.tail_mass + 1e-15
+
+
+def test_shared_powers_edge_cases():
+    summand = Pmf(np.array([0.5, 0.5]))
+    assert pmf_stopped_sums([], summand, 8) == []
+    for tol in (0.0, -1e-10):
+        with pytest.raises(ValueError):
+            pmf_stopped_sums([Pmf.point(1)], summand, 8, tol)
 
 def test_tail_from_pmf():
     p = Pmf(np.array([0.5, 0.2, 0.2]), tail_mass=0.1)

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import poisson
 
 import rigclust.mixedpoisson as mp
+import rigclust.stoppedsum as ss
 import rigclust.theory as th
 from rigclust import (
     Degenerate,
@@ -229,6 +230,31 @@ def test_limit_laws_build_one_kernel_block_per_panel_per_side(monkeypatch):
                       (laws.d1, d1), (laws.d2, d2)):
         assert np.array_equal(got.mass, want.mass) and got.tail_mass == want.tail_mass
 
+
+
+def test_limit_laws_convolve_each_power_of_tau_once(monkeypatch):
+    # d1 and d2 share one power sequence, which runs as long as the longer of
+    # the two single-count loops; the route laws add three convolutions.
+    params = ModelParams(10000, 10000, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0))
+    tau = pmf_offspring(params, 1024)
+    counts = [pmf_mixed_poisson(mixing_spec(params, "actor", r), 1024) for r in (1, 2)]
+    convolve_raw = ss._convolve_raw
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return convolve_raw(*args)
+
+    monkeypatch.setattr(ss, "_convolve_raw", counting)
+    alone = []
+    for count in counts:
+        calls.clear()
+        pmf_stopped_sum(StoppedSumSpec(count, tau), 1024, 1e-10)
+        alone.append(len(calls))
+    calls.clear()
+    LimitLaws(params, 1024)
+    assert alone[0] != alone[1]
+    assert len(calls) == max(alone) + 3
 
 def test_model_params_validation():
     with pytest.raises(ValueError):
