@@ -20,7 +20,6 @@ from .mixedpoisson import (
     MixingSpec,
     Pmf,
     QuadratureError,
-    attribute_laws,
     mixing_spec,
     pmf_mixed_poisson,
     pmf_mixed_poissons,

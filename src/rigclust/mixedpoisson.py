@@ -30,15 +30,14 @@ rule is deterministic, so results are bit-identical no matter how callers
 partition work.
 
 A panel's Poisson kernel depends on the weight law, its scale and the grid,
-not on the bias order, so :func:`pmf_mixed_poissons` integrates several laws
-of one weight law and scale in lockstep (``theory.LimitLaws`` makes one call
-per weight side).  A panel and its two halves each get one kernel block, for
-the widest window their active laws need, and one upper-tail evaluation per
-distinct grid length.  Every law keeps its own panel edges, node weights,
+not on the bias order, so :func:`pmf_mixed_poissons` integrates several bias
+orders of one weight law and scale on one grid in lockstep
+(``theory.LimitLaws`` makes one call per weight side).  A panel and its two
+halves each get one kernel block and one upper-tail evaluation, shared by
+every law that uses them.  Every law keeps its own panel edges, node weights,
 error budget, accept/refine decisions, order of additions and
 :class:`QuadratureError`, so each mass and tail is bit for bit what the law
-gets alone.  A law on a narrower window multiplies a contiguous copy of its
-columns, since a strided matrix-vector product can round differently.
+gets alone.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ __all__ = [
     "Pmf",
     "MixingSpec",
     "QuadratureError",
-    "attribute_laws",
     "mixing_spec",
     "pmf_mixed_poisson",
     "pmf_mixed_poissons",
@@ -153,8 +151,13 @@ def mixing_spec(params: ModelParams, role: str, bias_order: int = 0) -> MixingSp
     ``role='actor'`` gives the law counting attributes around one actor:
     rate = Y * sqrt(beta) * E[X].  ``role='attribute'`` gives the law counting
     actors on one attribute: rate = X * E[Y] / sqrt(beta).  Both use the
-    limiting shape ratio ``beta``, not the finite-size ratio m/n.
+    limiting shape ratio ``beta``, not the finite-size ratio m/n.  Both raise
+    :class:`DomainError` unless E[X] E[Y] > 0: otherwise no actor meets an
+    attribute and the offspring law is undefined.
     """
+    if params.a(1) * params.b(1) <= 0.0:
+        raise DomainError("offspring law undefined: E[N] = 0 "
+                          "(a weight law is degenerate at zero)")
     if role == "actor":
         return MixingSpec(params.y_law, math.sqrt(params.beta) * params.a(1), bias_order)
     if role == "attribute":
@@ -345,7 +348,6 @@ class _Job:
         while edges[-1] < w_cut:
             edges.append(min(w_cut, edges[-1] + _panel_widths(edges[-1], scale, ridge_end)))
 
-        self.k_max = k_max
         self.amplitude, self.power = a * x0**a, -a - 1.0
         self.panels = set(zip(edges[:-1], edges[1:]))
         self.budget = tol / (8.0 * (len(edges) - 1))
@@ -364,11 +366,10 @@ class _Panel(NamedTuple):
     w: np.ndarray
     rates: np.ndarray
     s_lo: int
-    s_hi: int  # window end before any grid clips it
-    block: np.ndarray | None  # columns s_lo..min(s_hi, largest active grid)
+    block: np.ndarray | None  # columns s_lo.. of the window clipped to the grid
 
 
-def _panel(lo: float, hi: float, scale: float, k_hi: int, log_fact: np.ndarray,
+def _panel(lo: float, hi: float, scale: float, k_max: int, log_fact: np.ndarray,
            index: np.ndarray) -> _Panel:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -377,34 +378,27 @@ def _panel(lo: float, hi: float, scale: float, k_hi: int, log_fact: np.ndarray,
     # Window from the panel *endpoints* so a child's window nests in its
     # parent's (node positions alone would not nest).
     s_lo, s_hi = _support_window(scale * lo, scale * hi)
-    top = min(s_hi, k_hi)
-    block = _poisson_rows(rates, s_lo, top, log_fact, index) if s_lo <= top else None
-    return _Panel(half * _GL_WEIGHTS, w, rates, s_lo, s_hi, block)
+    s_hi = min(s_hi, k_max)
+    block = _poisson_rows(rates, s_lo, s_hi, log_fact, index) if s_lo <= s_hi else None
+    return _Panel(half * _GL_WEIGHTS, w, rates, s_lo, block)
 
 
 def _job_panel(job: _Job, panel: _Panel) -> tuple[int, np.ndarray, np.ndarray]:
     """Grid masses of one job over one panel, from index ``s_lo`` on, and its
     node weights."""
     coef = panel.weights * job.amplitude * panel.w ** job.power
-    s_hi = min(panel.s_hi, job.k_max)
-    if panel.s_lo > s_hi:  # entire Poisson bulk is beyond the grid
+    if panel.block is None:  # entire Poisson bulk is beyond the grid
         return 0, np.zeros(0), coef
-    block = panel.block
-    if s_hi - panel.s_lo + 1 < block.shape[1]:
-        # A narrower job gets its own contiguous copy: the matrix-vector
-        # product of a strided view can round differently.
-        block = np.ascontiguousarray(block[:, :s_hi - panel.s_lo + 1])
-    return panel.s_lo, coef @ block, coef
+    return panel.s_lo, coef @ panel.block, coef
 
 
-def _pareto_mixtures(law: Pareto, scale: float, jobs: list[tuple[int, int]],
+def _pareto_mixtures(law: Pareto, scale: float, orders: list[int], k_max: int,
                      tol: float) -> list[tuple[np.ndarray, float]]:
-    """Masses and tail bounds of the laws ``(bias order, k_max)`` of one
-    Pareto law and scale, integrated in lockstep."""
-    states = [_Job(law, scale, r, k_max, tol) for r, k_max in jobs]
-    k_top = max(job.k_max for job in states)
-    log_fact = _log_factorials(k_top)
-    index = np.arange(k_top + 1.0)
+    """Masses and tail bounds on ``0..k_max`` of the laws of the given bias
+    orders of one Pareto law and scale, integrated in lockstep."""
+    states = [_Job(law, scale, r, k_max, tol) for r in orders]
+    log_fact = _log_factorials(k_max)
+    index = np.arange(k_max + 1.0)
     n = _GL_NODES.size
 
     def settle(lo: float, mid: float, hi: float,
@@ -412,16 +406,13 @@ def _pareto_mixtures(law: Pareto, scale: float, jobs: list[tuple[int, int]],
         """Per job: the start and masses of the two halves of [lo, hi] on the
         parent window, their tail mass and the panel's error estimate.  The
         kernel blocks die on return, before :func:`refine` recurses."""
-        k_hi = max(job.k_max for job in jobs)
-        panels = [_panel(a, b, scale, k_hi, log_fact, index)
+        panels = [_panel(a, b, scale, k_max, log_fact, index)
                   for a, b in ((lo, hi), (lo, mid), (mid, hi))]
-        rates = np.concatenate([panel.rates for panel in panels])
-        tails = {k: _poisson_upper_tail(k, rates) for k in {job.k_max for job in jobs}}
+        t = _poisson_upper_tail(k_max, np.concatenate([panel.rates for panel in panels]))
         out = []
         for job in jobs:
             (s_lo_p, mass_p, coef_p), (s_lo_1, mass_1, coef_1), (s_lo_2, mass_2, coef_2) = (
                 _job_panel(job, panel) for panel in panels)
-            t = tails[job.k_max]
             tail_p = float(coef_p @ t[:n])
             tail_1 = float(coef_1 @ t[n:2 * n])
             tail_2 = float(coef_2 @ t[2 * n:])
@@ -468,35 +459,37 @@ def _pareto_mixtures(law: Pareto, scale: float, jobs: list[tuple[int, int]],
 # Public constructors
 # ---------------------------------------------------------------------------
 
-def pmf_mixed_poissons(jobs: Sequence[tuple[MixingSpec, int]],
+def pmf_mixed_poissons(specs: Sequence[MixingSpec], k_max: int,
                        tol: float = 1e-10) -> list[Pmf]:
-    """Numeric pmfs of several mixed Poisson laws of one weight law and scale.
+    """Numeric pmfs on ``0..k_max`` of several mixed Poisson laws of one
+    weight law and scale.
 
-    ``jobs`` lists ``(spec, k_max)`` pairs whose specs differ at most in their
-    bias order; each pmf is bit for bit the one :func:`pmf_mixed_poisson`
-    gives for its pair alone.  For Pareto mixing the laws are integrated in
-    lockstep: a panel that several of them use gets one Poisson kernel block
-    and one upper-tail evaluation per grid length, while every law keeps its
-    own panels, error budget, accept/refine decisions and order of additions.
+    The specs differ at most in their bias order; each pmf is bit for bit the
+    one :func:`pmf_mixed_poisson` gives for its spec alone.  For Pareto
+    mixing the laws are integrated in lockstep: a panel that several of them
+    use gets one Poisson kernel block and one upper-tail evaluation, while
+    every law keeps its own panels, error budget, accept/refine decisions and
+    order of additions.
     """
-    if not jobs:
+    if not specs:
         return []
-    law, scale = jobs[0][0].weight_law, jobs[0][0].scale
-    if any(spec.weight_law != law or spec.scale != scale for spec, _ in jobs):
-        raise ValueError("jobs must share one weight law and scale")
-    if any(k_max < 1 for _, k_max in jobs):
+    law, scale = specs[0].weight_law, specs[0].scale
+    if any(spec.weight_law != law or spec.scale != scale for spec in specs):
+        raise ValueError("specs must share one weight law and scale")
+    if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    orders = [(spec.bias_order, int(k_max)) for spec, k_max in jobs]
+    k_max = int(k_max)
+    orders = [spec.bias_order for spec in specs]
     with np.errstate(under="ignore"):
         if isinstance(law, Pareto):
-            return [Pmf(*out) for out in _pareto_mixtures(law, scale, orders, tol)]
+            return [Pmf(*out) for out in _pareto_mixtures(law, scale, orders, k_max, tol)]
         if isinstance(law, Degenerate):
             atoms = ((law.value, 1.0),)
         elif isinstance(law, Finite):
             atoms = law.atoms
         else:  # pragma: no cover - no other laws exist today
             raise TypeError(f"unsupported weight law {type(law).__name__}")
-        return [Pmf(*_atomic_mixture(atoms, scale, r, k_max)) for r, k_max in orders]
+        return [Pmf(*_atomic_mixture(atoms, scale, r, k_max)) for r in orders]
 
 
 def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
@@ -509,28 +502,7 @@ def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
     for; ``tail_mass`` bounds the mass beyond ``k_max``, however large.  This
     is the one-law case of :func:`pmf_mixed_poissons`.
     """
-    return pmf_mixed_poissons([(spec, k_max)], tol)[0]
-
-
-def attribute_laws(params: ModelParams, k_max: int, bias_orders: Sequence[int],
-                   tol: float = 1e-10) -> list[Pmf]:
-    """The offspring law, then the attribute laws of ``bias_orders``, all on
-    ``0..k_max`` and from one lockstep quadrature (see :func:`pmf_offspring`
-    and :func:`mixing_spec`)."""
-    mean = params.a(1) * params.b(1) / math.sqrt(params.beta)
-    if mean <= 0.0:
-        raise DomainError("offspring law undefined: E[N] = 0 "
-                          "(a weight law is degenerate at zero)")
-    base, *laws = pmf_mixed_poissons(
-        [(mixing_spec(params, "attribute", 0), k_max + 1)]
-        + [(mixing_spec(params, "attribute", r), k_max) for r in bias_orders], tol)
-    s = np.arange(base.mass.size - 1)
-    mass = (s + 1) * base.mass[1:] / mean
-    # The exact deficit of the shifted sum is E[N; N > k_max+1]/E[N]; the grid
-    # entries are accurate to ~1e-13 relative, so 1 - sum is a faithful
-    # tail bound at the tolerances used downstream.
-    tail = max(0.0, 1.0 - math.fsum(mass))
-    return [Pmf(mass, tail), *laws]
+    return pmf_mixed_poissons([spec], k_max, tol)[0]
 
 
 def pmf_offspring(params: ModelParams, k_max: int, tol: float = 1e-10) -> Pmf:
@@ -540,13 +512,14 @@ def pmf_offspring(params: ModelParams, k_max: int, tol: float = 1e-10) -> Pmf:
     the attribute reached by following a random link shows N size-biased, and
     the actors beyond the one we came from number  tau = N_sb - 1:
 
-        P(tau = s) = (s + 1) P(N = s + 1) / E[N],   E[N] computed in closed form.
+        P(tau = s) = (s + 1) P(N = s + 1) / E[N].
 
-    Equivalently tau is the bias_order=1 mixed Poisson law; the shift formula
-    (in :func:`attribute_laws`) is the primary route and the identity is
-    exploited in tests.
+    Size-biasing a Poisson count biases its rate, so tau is the order-1
+    attribute law (:func:`mixing_spec`), and that is how it is computed: its
+    tail bound comes from the quadrature.  The tests check the shift formula
+    against it.
     """
-    return attribute_laws(params, k_max, (), tol)[0]
+    return pmf_mixed_poisson(mixing_spec(params, "attribute", 1), k_max, tol)
 
 
 def sample_biased(spec: MixingSpec, rng: np.random.Generator, size=None):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .mixedpoisson import Pmf, attribute_laws, mixing_spec, pmf_mixed_poissons
+from .mixedpoisson import Pmf, mixing_spec, pmf_mixed_poissons
 from .stoppedsum import convolve, pmf_stopped_sums, tail_from_pmf
 # Not called here; kept so that the names traced in rigclust.theory still resolve.
 from .mixedpoisson import pmf_mixed_poisson, pmf_offspring  # noqa: F401
@@ -118,9 +118,12 @@ class LimitLaws:
 
     Exposes the combined closed-route law (stopped sum with order-1 count plus
     the order-3 attribute law) and open-route law (order-2 count stopped sum
-    plus two order-2 attribute laws).  Every ingredient is built on the same
-    ``k_max`` grid, so the grid length is decided by the caller alone (see
-    :func:`adaptive_limit_laws`); what falls beyond it is in ``tail_mass``.
+    plus two order-2 attribute laws).  The offspring law ``tau`` of both
+    stopped sums is the order-1 attribute law, so one lockstep quadrature
+    gives ``tau``, ``lam2`` and ``lam3`` and another the two counts.  Every
+    ingredient is built on the same ``k_max`` grid, so the grid length is
+    decided by the caller alone (see :func:`adaptive_limit_laws`); what falls
+    beyond it is in ``tail_mass``.
     """
 
     def __init__(self, params: ModelParams, k_max: int, tol: float = 1e-10):
@@ -130,9 +133,10 @@ class LimitLaws:
         self.tol = float(tol)
 
         # One lockstep quadrature per weight side, one power sequence of tau.
-        self.tau, self.lam2, self.lam3 = attribute_laws(params, self.k_max, (2, 3), tol)
+        self.tau, self.lam2, self.lam3 = pmf_mixed_poissons(
+            [mixing_spec(params, "attribute", r) for r in (1, 2, 3)], self.k_max, tol)
         count1, count2 = pmf_mixed_poissons(
-            [(mixing_spec(params, "actor", r), self.k_max) for r in (1, 2)], tol)
+            [mixing_spec(params, "actor", r) for r in (1, 2)], self.k_max, tol)
         self.d1, self.d2 = pmf_stopped_sums([count1, count2], self.tau, self.k_max, tol)
 
         self.closed_law: Pmf = convolve(self.d1, self.lam3, self.k_max)

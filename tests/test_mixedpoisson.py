@@ -11,6 +11,7 @@ from scipy.stats import poisson
 
 from rigclust import (
     Degenerate,
+    DomainError,
     Finite,
     MixingSpec,
     ModelParams,
@@ -172,12 +173,22 @@ def params_pareto(alpha=7.0, gamma=6.0, beta=1.0):
     return ModelParams(100, 100, beta, Pareto(1.0, alpha), Pareto(1.0, gamma))
 
 
+def offspring_by_shift(params, k_max):
+    """tau = N_sb - 1 from the attribute law of N on one more entry:
+    P(tau = s) = (s + 1) P(N = s + 1) / E[N], with E[N] in closed form and
+    the grid's deficit as the tail."""
+    base = pmf_mixed_poisson(mixing_spec(params, "attribute", 0), k_max + 1)
+    mean = params.a(1) * params.b(1) / math.sqrt(params.beta)
+    mass = np.arange(1, k_max + 2) * base.mass[1:] / mean
+    return Pmf(mass, max(0.0, 1.0 - math.fsum(mass)))
+
+
 def test_offspring_equals_first_order_biased_attribute_law():
     # The shifted/reweighted construction agrees with the order-1 biased
     # mixed Poisson in distribution, a nontrivial cross-check of both paths.
     params = params_pareto(6.0, 6.0, 1.3)
-    shift = pmf_offspring(params, k_max=512)
-    direct = pmf_mixed_poisson(mixing_spec(params, "attribute", 1), k_max=512)
+    shift = offspring_by_shift(params, k_max=512)
+    direct = pmf_offspring(params, k_max=512)
     assert np.max(np.abs(shift.mass - direct.mass)) < 1e-11
     assert shift.tail_mass == pytest.approx(direct.tail_mass, abs=1e-9)
 
@@ -196,8 +207,8 @@ def test_offspring_mean_shift_identity():
     # E[offspring] = E[Lambda^(1)] - ... the reweighting sends mean s+1 terms;
     # verify against the biased law's mean rather than a closed form.
     params = params_pareto()
-    shift = pmf_offspring(params, k_max=1024)
-    direct = pmf_mixed_poisson(mixing_spec(params, "attribute", 1), k_max=1024)
+    shift = offspring_by_shift(params, k_max=1024)
+    direct = pmf_offspring(params, k_max=1024)
     assert shift.mean() == pytest.approx(direct.mean(), rel=1e-8)
 
 
@@ -213,6 +224,19 @@ def test_mixing_spec_roles():
     assert attr.weight_law.tail_index == 7.0
     with pytest.raises(ValueError):
         mixing_spec(params, "edge", 0)
+
+
+@pytest.mark.parametrize("role", ["actor", "attribute"])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_mixing_spec_needs_weight_on_both_sides(role, side):
+    # With X or Y at zero no actor meets an attribute: either role's law is
+    # outside the theory's domain, whichever side is degenerate.
+    laws = {"x": Pareto(1.0, 7.0), "y": Pareto(1.0, 6.0)}
+    laws[side] = Degenerate(0.0)
+    params = ModelParams(100, 100, 1.0, laws["x"], laws["y"])
+    with pytest.raises(DomainError, match=re.escape(
+            "offspring law undefined: E[N] = 0 (a weight law is degenerate at zero)")):
+        mixing_spec(params, role, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +322,8 @@ def test_scale_validation():
 # Lockstep quadrature of several laws
 # ---------------------------------------------------------------------------
 
-def lockstep_jobs(params, role, grids):
-    return [(mixing_spec(params, role, r), k) for r, k in grids]
+def lockstep_specs(params, role, orders):
+    return [mixing_spec(params, role, r) for r in orders]
 
 
 @pytest.mark.parametrize("k_max", [64, 256, 1024, 4096])
@@ -307,51 +331,51 @@ def lockstep_jobs(params, role, grids):
                                   (Pareto(1.0, 9.0), Pareto(1.0, 5.5))],
                          ids=["pareto(2,7)/(2,6)", "pareto(1,9)/(1,5.5)"])
 def test_batched_laws_equal_laws_alone(laws, k_max):
-    # The two weight sides of LimitLaws: an order-0 law one entry longer
-    # beside orders 2 and 3, and orders 1 and 2.  Sharing kernel blocks and
-    # tail evaluations between them moves no bit of any mass or tail.
+    # The two weight sides of LimitLaws: orders 1, 2 and 3, and orders 1 and
+    # 2.  Sharing kernel blocks and tail evaluations between them moves no
+    # bit of any mass or tail.
     params = ModelParams(100, 100, 1.0, *laws)
-    for jobs in (lockstep_jobs(params, "attribute", [(0, k_max + 1), (2, k_max), (3, k_max)]),
-                 lockstep_jobs(params, "actor", [(1, k_max), (2, k_max)])):
-        for (spec, k), got in zip(jobs, pmf_mixed_poissons(jobs)):
-            alone = pmf_mixed_poisson(spec, k)
+    for specs in (lockstep_specs(params, "attribute", (1, 2, 3)),
+                  lockstep_specs(params, "actor", (1, 2))):
+        for spec, got in zip(specs, pmf_mixed_poissons(specs, k_max)):
+            alone = pmf_mixed_poisson(spec, k_max)
             assert np.array_equal(got.mass, alone.mass)
             assert got.tail_mass == alone.tail_mass
 
 
-def test_batched_laws_on_unrelated_grids():
-    # Jobs in no particular order, with grids far apart and one law twice.
+def test_batched_laws_out_of_order():
+    # Orders in no particular sequence, one law twice.
     params = params_pareto(6.6, 5.1, 1.3)
-    jobs = lockstep_jobs(params, "attribute", [(2, 300), (0, 64), (3, 1000), (2, 300), (1, 2)])
-    for (spec, k), got in zip(jobs, pmf_mixed_poissons(jobs)):
-        alone = pmf_mixed_poisson(spec, k)
-        assert got.mass.size == k + 1
+    specs = lockstep_specs(params, "attribute", (2, 0, 3, 2, 1))
+    for spec, got in zip(specs, pmf_mixed_poissons(specs, 300)):
+        alone = pmf_mixed_poisson(spec, 300)
+        assert got.mass.size == 301
         assert np.array_equal(got.mass, alone.mass)
         assert got.tail_mass == alone.tail_mass
 
 
 def test_batched_atomic_laws():
     params = ModelParams(10, 10, 2.0, Finite(((1.0, 0.5), (3.0, 0.5))), Degenerate(2.0))
-    jobs = lockstep_jobs(params, "attribute", [(0, 40), (2, 30)])
-    for (spec, k), got in zip(jobs, pmf_mixed_poissons(jobs)):
-        alone = pmf_mixed_poisson(spec, k)
+    specs = lockstep_specs(params, "attribute", (0, 2))
+    for spec, got in zip(specs, pmf_mixed_poissons(specs, 40)):
+        alone = pmf_mixed_poisson(spec, 40)
         assert np.array_equal(got.mass, alone.mass) and got.tail_mass == alone.tail_mass
 
 
 def test_batch_validation():
-    assert pmf_mixed_poissons([]) == []
+    assert pmf_mixed_poissons([], 8) == []
     spec = MixingSpec(Pareto(1.0, 6.0), scale=1.0)
     with pytest.raises(ValueError, match="one weight law and scale"):
-        pmf_mixed_poissons([(spec, 8), (MixingSpec(Pareto(1.0, 6.0), scale=2.0), 8)])
+        pmf_mixed_poissons([spec, MixingSpec(Pareto(1.0, 6.0), scale=2.0)], 8)
     with pytest.raises(ValueError, match="one weight law and scale"):
-        pmf_mixed_poissons([(spec, 8), (MixingSpec(Pareto(1.0, 7.0), scale=1.0), 8)])
+        pmf_mixed_poissons([spec, MixingSpec(Pareto(1.0, 7.0), scale=1.0)], 8)
     with pytest.raises(ValueError, match="k_max must be >= 1"):
-        pmf_mixed_poissons([(spec, 8), (spec, 0)])
+        pmf_mixed_poissons([spec, spec], 0)
 
 
 def test_unreachable_tol_raises_in_lockstep():
     # A law that cannot reach tol fails with the message it gives alone,
-    # beside laws of other orders and grids.
+    # beside a law of another order.
     spec = MixingSpec(Pareto(1.0, 7.0), scale=2.0, bias_order=3)
     with pytest.raises(QuadratureError) as alone:
         pmf_mixed_poisson(spec, 64, tol=1e-300)
@@ -359,6 +383,5 @@ def test_unreachable_tol_raises_in_lockstep():
                         r"bound \S+ > tol 1\.000e-300", str(alone.value))
     assert alone.value.achieved > 1e-300
     with pytest.raises(QuadratureError) as batched:
-        pmf_mixed_poissons([(spec, 64), (MixingSpec(Pareto(1.0, 7.0), 2.0, 0), 65)],
-                           tol=1e-300)
+        pmf_mixed_poissons([spec, MixingSpec(Pareto(1.0, 7.0), 2.0, 0)], 64, tol=1e-300)
     assert str(batched.value) == str(alone.value)

@@ -231,6 +231,27 @@ def test_limit_laws_build_one_kernel_block_per_panel_per_side(monkeypatch):
         assert np.array_equal(got.mass, want.mass) and got.tail_mass == want.tail_mass
 
 
+def test_limit_laws_evaluate_one_tail_per_three_panels(monkeypatch):
+    # Every law of a weight side is on the one grid, so a panel and its two
+    # halves share a single upper-tail evaluation, offspring law included.
+    params = ModelParams(10000, 10000, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0))
+    calls = collections.Counter()
+
+    def counting(name):
+        original = getattr(mp, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in ("_panel", "_poisson_upper_tail"):
+        monkeypatch.setattr(mp, name, counting(name))
+    LimitLaws(params, 256)
+    assert calls["_poisson_upper_tail"] > 0
+    assert calls["_panel"] == 3 * calls["_poisson_upper_tail"]
+
+
 
 def test_limit_laws_convolve_each_power_of_tau_once(monkeypatch):
     # d1 and d2 share one power sequence, which runs as long as the longer of
