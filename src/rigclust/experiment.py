@@ -131,7 +131,7 @@ class ExperimentConfig:
     master_seed: int = 0
     k_min: int = 2
     k_max: int = 50
-    #: Cap on the theory grid; the grid itself is sized from ``k_max`` (see
+    #: Cap on the theory grid; the one grid is sized from ``k_max`` (see
     #: :func:`rigclust.theory.adaptive_limit_laws`).
     pmf_k_max: int = DEFAULT_K_MAX
     tol: float = 1e-10

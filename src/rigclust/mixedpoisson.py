@@ -12,9 +12,9 @@ Poisson over the ``r``-size-biased weight law, which is also how sampling and
 the quadrature below are organised.
 
 Numeric pmfs are carried by :class:`Pmf`: a dense mass array on ``0..k_max``
-plus an explicit ``tail_mass`` upper bound for the probability that fell
-beyond the grid.  Downstream convolution code propagates those tail bounds, so
-every tail probability read off a pmf comes with an interval certificate.
+plus bounds ``tail_lo <= P(value > k_max) <= tail_mass``.  Downstream
+convolution code propagates both, so every tail probability read off a pmf
+comes with a two-sided interval certificate.
 
 Quadrature
 ----------
@@ -31,13 +31,7 @@ partition work.
 
 A panel's Poisson kernel depends on the weight law, its scale and the grid,
 not on the bias order, so :func:`pmf_mixed_poissons` integrates several bias
-orders of one weight law and scale on one grid in lockstep
-(``theory.LimitLaws`` makes one call per weight side).  A panel and its two
-halves each get one kernel block and one upper-tail evaluation, shared by
-every law that uses them.  Every law keeps its own panel edges, node weights,
-error budget, accept/refine decisions, order of additions and
-:class:`QuadratureError`, so each mass and tail is bit for bit what the law
-gets alone.
+orders in lockstep (``theory.LimitLaws`` makes one call per weight side).
 """
 
 from __future__ import annotations
@@ -76,21 +70,24 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Pmf:
-    """Probability mass function on 0..k_max with an explicit tail bound.
+    """Probability mass function on 0..k_max with explicit tail bounds.
 
-    ``mass[s]`` approximates P(value = s); ``tail_mass`` is an upper bound on
-    P(value > k_max) (up to the numerical tolerance the producer guarantees).
-    Instances are immutable; the mass array is marked read-only.
+    ``mass[s]`` approximates P(value = s); ``tail_lo <= P(value > k_max) <=
+    tail_mass`` (up to the numerical tolerance the producer guarantees), so
+    mass that could lie anywhere is in ``tail_mass`` alone.  Instances are
+    immutable; the mass array is marked read-only.
     """
 
     mass: np.ndarray
     tail_mass: float = 0.0
+    tail_lo: float = 0.0
 
     def __post_init__(self):
         mass = np.ascontiguousarray(np.asarray(self.mass, dtype=np.float64))
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "tail_mass", float(self.tail_mass))
+        object.__setattr__(self, "tail_lo", float(self.tail_lo))
         self.validate()
 
     def validate(self) -> None:
@@ -102,6 +99,8 @@ class Pmf:
             raise ValueError(f"negative mass entry {self.mass.min()}")
         if not (0.0 <= self.tail_mass <= 1.0 + NORMALIZATION_ATOL):
             raise ValueError(f"tail_mass {self.tail_mass} outside [0, 1]")
+        if not (0.0 <= self.tail_lo <= self.tail_mass):
+            raise ValueError(f"tail_lo {self.tail_lo} outside [0, tail_mass]")
         total = math.fsum(self.mass) + self.tail_mass
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"mass + tail_mass = {total}, expected 1 within "
@@ -237,8 +236,8 @@ def _poisson_rows(rates: np.ndarray, s_lo: int, s_hi: int, log_fact: np.ndarray,
 def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
     """P(Poisson(rate) > K) for K = k_max and positive rates.
 
-    The error is about K * 1e-16 relative.  Each series starts from a leading
-    mass taken in log space.  For rate <= K + 1 the tail is p(K+1) * sum_j
+    The relative error is within :func:`_tail_floor`'s margin.  Each series
+    starts from a leading mass taken in log space.  For rate <= K + 1 the tail is p(K+1) * sum_j
     prod_{i<=j} rate/(K+1+i), plus a geometric bound on the terms left out,
     so it stays an upper bound; above K + 1 it is 1 - p(K) * sum_j prod_{i<j}
     (K-i)/rate.  A series stops once the terms of its slowest row are below
@@ -279,6 +278,21 @@ def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tail_floor(tail: float, k_max: int) -> float:
+    """Lower bound on a sum ``tail`` of :func:`_poisson_upper_tail` values
+    with nonnegative weights.  Against mpmath, every tail above 1e-300 for K
+    up to 4096 is within 6e-13 relative, from its log-space leading mass."""
+    return tail * (1.0 - (k_max + 1000) * 1e-15)
+
+
+def _chernoff_tail(k_max: int, rate: float) -> float:
+    """Lower bound on P(Poisson(rate) > K) for K >= 1: Chernoff gives
+    P(Poisson(rate) <= K) <= exp(K - rate) (rate / K)**K once rate > K."""
+    if rate <= k_max:
+        return 0.0
+    return -math.expm1(k_max - rate + k_max * math.log(rate / k_max))
+
+
 def _support_window(rate_lo: float, rate_hi: float) -> tuple[int, int]:
     """Index range outside which Poisson(rate) mass underflows for these rates;
     the upper end is not clipped to any grid."""
@@ -291,7 +305,7 @@ def _support_window(rate_lo: float, rate_hi: float) -> tuple[int, int]:
 # Atomic mixing laws: exact finite mixtures
 # ---------------------------------------------------------------------------
 
-def _atomic_mixture(atoms, scale: float, r: int, k_max: int) -> tuple[np.ndarray, float]:
+def _atomic_mixture(atoms, scale: float, r: int, k_max: int) -> Pmf:
     log_fact = _log_factorials(k_max)
     index = np.arange(k_max + 1.0)
     tilt = [p * v**r for v, p in atoms]
@@ -311,7 +325,7 @@ def _atomic_mixture(atoms, scale: float, r: int, k_max: int) -> tuple[np.ndarray
         rate_arr = np.array([rate])
         mass += q * _poisson_rows(rate_arr, 0, k_max, log_fact, index)[0]
         tail += q * float(_poisson_upper_tail(k_max, rate_arr)[0])
-    return mass, tail
+    return Pmf(mass, tail, _tail_floor(tail, k_max))
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +369,10 @@ class _Job:
         self.tail = self.err = 0.0
         # Mass that mixes from weights beyond w_cut: bounded by the biased
         # tail there, and (by the ridge cut) it lands beyond k_max, so it
-        # belongs to tail_mass.
+        # belongs to tail_mass; tail_lo gets the share Poisson(scale * w_cut)
+        # puts there, as the Poisson tail grows with the rate.
         self.beyond = biased.tail(w_cut)
+        self.beyond_lo = self.beyond * _chernoff_tail(k_max, scale * w_cut)
 
 
 class _Panel(NamedTuple):
@@ -393,9 +409,9 @@ def _job_panel(job: _Job, panel: _Panel) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _pareto_mixtures(law: Pareto, scale: float, orders: list[int], k_max: int,
-                     tol: float) -> list[tuple[np.ndarray, float]]:
-    """Masses and tail bounds on ``0..k_max`` of the laws of the given bias
-    orders of one Pareto law and scale, integrated in lockstep."""
+                     tol: float) -> list[Pmf]:
+    """Pmfs on ``0..k_max`` of the laws of the given bias orders of one
+    Pareto law and scale, integrated in lockstep."""
     states = [_Job(law, scale, r, k_max, tol) for r in orders]
     log_fact = _log_factorials(k_max)
     index = np.arange(k_max + 1.0)
@@ -452,7 +468,10 @@ def _pareto_mixtures(law: Pareto, scale: float, orders: list[int], k_max: int,
     # Sorted by their left ends, every job meets its own panels in order.
     for lo, hi in sorted(set().union(*(job.panels for job in states))):
         refine(lo, hi, [(job, job.budget) for job in states if (lo, hi) in job.panels], 0)
-    return [(job.mass, job.tail + job.beyond) for job in states]
+    # tail_lo: the tail integral less its error estimate and relative error.
+    return [Pmf(job.mass, job.tail + job.beyond,
+                max(_tail_floor(job.tail, k_max) - job.err + job.beyond_lo, 0.0))
+            for job in states]
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +485,11 @@ def pmf_mixed_poissons(specs: Sequence[MixingSpec], k_max: int,
 
     The specs differ at most in their bias order; each pmf is bit for bit the
     one :func:`pmf_mixed_poisson` gives for its spec alone.  For Pareto
-    mixing the laws are integrated in lockstep: a panel that several of them
-    use gets one Poisson kernel block and one upper-tail evaluation, while
-    every law keeps its own panels, error budget, accept/refine decisions and
-    order of additions.
+    mixing the laws are integrated in lockstep: a panel and its two halves
+    each get one Poisson kernel block and one upper-tail evaluation, shared by
+    every law that uses them, while every law keeps its own panels, error
+    budget, accept/refine decisions, order of additions and
+    :class:`QuadratureError`.
     """
     if not specs:
         return []
@@ -482,14 +502,14 @@ def pmf_mixed_poissons(specs: Sequence[MixingSpec], k_max: int,
     orders = [spec.bias_order for spec in specs]
     with np.errstate(under="ignore"):
         if isinstance(law, Pareto):
-            return [Pmf(*out) for out in _pareto_mixtures(law, scale, orders, k_max, tol)]
+            return _pareto_mixtures(law, scale, orders, k_max, tol)
         if isinstance(law, Degenerate):
             atoms = ((law.value, 1.0),)
         elif isinstance(law, Finite):
             atoms = law.atoms
         else:  # pragma: no cover - no other laws exist today
             raise TypeError(f"unsupported weight law {type(law).__name__}")
-        return [Pmf(*_atomic_mixture(atoms, scale, r, k_max)) for r in orders]
+        return [_atomic_mixture(atoms, scale, r, k_max) for r in orders]
 
 
 def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
@@ -499,8 +519,8 @@ def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
     ``rate = scale * W`` and ``r = spec.bias_order``, to absolute accuracy
     ``tol`` per entry (and, for Pareto mixing, near-full relative accuracy
     thanks to ridge-resolving panels).  The grid is exactly the one asked
-    for; ``tail_mass`` bounds the mass beyond ``k_max``, however large.  This
-    is the one-law case of :func:`pmf_mixed_poissons`.
+    for; ``tail_lo`` and ``tail_mass`` bound the mass beyond ``k_max``,
+    however large.  This is the one-law case of :func:`pmf_mixed_poissons`.
     """
     return pmf_mixed_poissons([spec], k_max, tol)[0]
 

@@ -8,18 +8,15 @@ direct mixture-of-convolution-powers loop
     P(d = s) = sum_i P(N = i) * tau^{*i}(s),
 
 truncating the count where its remaining probability drops below ``tol`` and
-pushing every neglected or out-of-grid contribution into the tail bound, so
-the result is a valid :class:`~rigclust.mixedpoisson.Pmf` whose tail interval
-is honest.  The loop stops as soon as no later term can change a bit of the
+pushing every neglected or out-of-grid contribution into the tail bound
+``tail_mass``, so the result is a valid :class:`~rigclust.mixedpoisson.Pmf`
+whose tail interval is honest.  ``tail_lo`` gets only mass known to lie past
+the grid.  The loop stops as soon as no later term can change a bit of the
 accumulated pmf, which on a wide grid comes long before the count runs out;
-each convolution is a single C-level ``numpy.convolve``.
-
-The powers ``tau^{*i}`` depend on the summand alone, so
-:func:`pmf_stopped_sums` evaluates several counts over one summand with one
-power sequence (``theory.LimitLaws`` makes one call for both degree laws).
-The sequence runs until the last count still running stops.  Every count
-keeps its own truncation, early stop and order of additions, so each mass and
-tail is bit for bit what the count gets alone.
+each convolution is a single C-level ``numpy.convolve``.  The powers
+``tau^{*i}`` depend on the summand alone, so :func:`pmf_stopped_sums` runs
+several counts over one power sequence (``theory.LimitLaws`` makes one call
+for both degree laws).
 """
 
 from __future__ import annotations
@@ -45,10 +42,16 @@ class StoppedSumSpec:
     summand: Pmf
 
 
-def _clip_tail(mass: np.ndarray, tail: float) -> float:
-    """Tightest upper bound on the off-grid mass: never below zero, never
-    above the grid deficit."""
-    return min(max(tail, 0.0), max(1.0 - math.fsum(mass), 0.0))
+def _pmf(mass: np.ndarray, tail: float, lo: float) -> Pmf:
+    """Pmf with the tightest honest tail bounds: the upper one never below
+    zero nor above the grid deficit, the lower one in [0, upper]."""
+    tail = min(max(tail, 0.0), max(1.0 - math.fsum(mass), 0.0))
+    return Pmf(mass, tail, min(max(lo, 0.0), tail))
+
+
+def _located(p: Pmf, k_max: int) -> float:
+    """P(value > k_max) >= ``tail_lo`` if the grid reaches ``k_max``."""
+    return p.tail_lo if p.k_max >= k_max else 0.0
 
 
 def _convolve_raw(p: np.ndarray, q: np.ndarray, k_max: int) -> tuple[np.ndarray, float]:
@@ -69,13 +72,16 @@ def convolve(p: Pmf, q: Pmf, k_max: int | None = None) -> Pmf:
     grid mass the convolution pushed beyond ``k_max``, clipped to the grid
     deficit ``1 - sum(mass)`` -- both are upper bounds on the true remaining
     mass (the grid part only ever undercounts), so the smaller one is the
-    honest choice and normalization survives even fat input tails.  The
-    default grid covers the full sum support.
+    honest choice and normalization survives even fat input tails.
+    ``tail_lo`` adds the pushed mass to the chance that either draw is past
+    its grid, ``lo_p + lo_q - lo_p * lo_q``.  The default grid covers the full
+    sum support.
     """
     if k_max is None:
         k_max = p.k_max + q.k_max
     mass, pushed = _convolve_raw(p.mass, q.mass, k_max)
-    return Pmf(mass, _clip_tail(mass, p.tail_mass + q.tail_mass + pushed))
+    lo_p, lo_q = _located(p, k_max), _located(q, k_max)
+    return _pmf(mass, p.tail_mass + q.tail_mass + pushed, lo_p + lo_q - lo_p * lo_q + pushed)
 
 
 class _Count:
@@ -92,6 +98,7 @@ class _Count:
         self.acc = np.zeros(k_max + 1)
         self.acc[0] = count.mass[0]  # the empty sum
         self.acc_tail = float(suffix[self.n_cut + 1]) + count.tail_mass
+        self.at_least, self.acc_lo = suffix + count.tail_lo, 0.0  # P(N >= i) >= at_least[i]
 
 
 def pmf_stopped_sums(counts: Sequence[Pmf], summand: Pmf, k_max: int,
@@ -103,6 +110,11 @@ def pmf_stopped_sums(counts: Sequence[Pmf], summand: Pmf, k_max: int,
     until the last count still running stops.  Each count keeps its own
     truncation, early stop and order of additions, so each pmf is bit for bit
     the one :func:`pmf_stopped_sum` gives for its count alone.
+
+    ``tail_lo`` sums P(N >= i) times the growth of each power's lower bound
+    on P(S_i > k_max), grown as in :func:`convolve`.  Summed by parts, that
+    counts each term j left out (stopped, truncated or past the count's grid)
+    with the bound of the last power made, S_{i-1} <= S_j.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
@@ -110,7 +122,8 @@ def pmf_stopped_sums(counts: Sequence[Pmf], summand: Pmf, k_max: int,
 
     power = np.zeros(k_max + 1)
     power[0] = 1.0
-    power_tail = 0.0
+    power_tail = power_lo = 0.0  # power_lo <= P(S_i > k_max)
+    summand_lo = _located(summand, k_max)
     running = [state for state in states if state.n_cut >= 1]
     i = 1
     while running:
@@ -136,14 +149,17 @@ def pmf_stopped_sums(counts: Sequence[Pmf], summand: Pmf, k_max: int,
             break
         power, pushed = _convolve_raw(power, summand.mass, k_max)
         power_tail += summand.tail_mass + pushed
+        step = summand_lo * (1.0 - power_lo) + pushed
+        power_lo += step
         for state in going:
+            state.acc_lo += state.at_least[i] * step
             w = state.weights[i]
             if w != 0.0:
                 state.acc += w * power
                 state.acc_tail += w * power_tail
         running = [state for state in going if state.n_cut > i]
         i += 1
-    return [Pmf(state.acc, _clip_tail(state.acc, state.acc_tail)) for state in states]
+    return [_pmf(state.acc, state.acc_tail, state.acc_lo) for state in states]
 
 
 def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
@@ -154,12 +170,9 @@ def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
     count probability joins the tail bound, as do the summand tail bounds
     (i per convolution power) and any convolution mass beyond the grid.
 
-    The loop stops before term i once P(i <= N <= n_cut) * G is below a
-    quarter of the smallest spacing of the accumulated pmf, with G the grid
-    mass of tau^{*(i-1)}; no later addition could then change a bit, so the
-    mass is the one the full loop gives.  The skipped terms add
-    P(i <= N <= n_cut) * (tail of tau^{*(i-1)} + (n_cut - i + 1) * summand
-    tail + G) to the tail bound, an upper bound on what the full loop adds.
+    The loop stops before term i once no later term could change a bit of
+    the mass, so the mass is the one the full loop gives; the skipped terms
+    add an upper bound on their share to the tail bound.
 
     The default grid covers the full sum support ``count.k_max *
     summand.k_max``, as in :func:`convolve`.  This is the one-count case of
@@ -174,11 +187,13 @@ def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
 def tail_from_pmf(p: Pmf, k: int) -> tuple[float, float]:
     """Interval [lower, upper] for P(value >= k).
 
-    The lower bound sums the grid mass at and above ``k``; the upper bound adds
-    the pmf's tail allowance.
+    Both ends sum the grid mass at and above ``k``.  The upper end adds
+    ``tail_mass``; the lower end adds ``tail_lo`` while every value beyond the
+    grid is at least ``k`` (k <= k_max + 1), and stays 0 past that.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    lower = float(math.fsum(p.mass[k:])) if k <= p.k_max else 0.0
-    upper = min(1.0, lower + p.tail_mass)
+    grid = float(math.fsum(p.mass[k:]))
+    upper = min(1.0, grid + p.tail_mass)
+    lower = min(upper, grid + p.tail_lo) if k <= p.k_max + 1 else 0.0
     return lower, upper

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .mixedpoisson import Pmf, mixing_spec, pmf_mixed_poissons
@@ -46,7 +45,6 @@ from .weights import InfiniteMomentError, ModelParams, Pareto
 
 __all__ = [
     "DEFAULT_K_MAX",
-    "GRID_TAIL_RTOL",
     "Interval",
     "LimitLaws",
     "adaptive_limit_laws",
@@ -68,15 +66,6 @@ _TIE_RTOL = 1e-9
 #: Largest grid (entries 0..DEFAULT_K_MAX) the limit laws are built on: the
 #: default cap of :func:`adaptive_limit_laws` and :func:`theory_curve`.
 DEFAULT_K_MAX = 4096
-
-#: Largest grid tail mass :func:`theory_curve` accepts, relative to each route
-#: law's grid mass at and beyond the last requested degree: the grid then
-#: widens any A/B interval by at most this relative amount, four orders of
-#: magnitude below the 10 % width at which rows switch to asymptotics.
-GRID_TAIL_RTOL = 1e-5
-
-#: Smallest grid :func:`adaptive_limit_laws` builds.
-_MIN_GRID = 64
 
 
 class Interval(NamedTuple):
@@ -123,7 +112,7 @@ class LimitLaws:
     gives ``tau``, ``lam2`` and ``lam3`` and another the two counts.  Every
     ingredient is built on the same ``k_max`` grid, so the grid length is
     decided by the caller alone (see :func:`adaptive_limit_laws`); what falls
-    beyond it is in ``tail_mass``.
+    beyond it is between ``tail_lo`` and ``tail_mass``.
     """
 
     def __init__(self, params: ModelParams, k_max: int, tol: float = 1e-10):
@@ -166,45 +155,21 @@ class LimitLaws:
                 Interval(self.open_prefactor * blo, self.open_prefactor * bhi))
 
 
-@lru_cache(maxsize=8)
-def _limit_laws_cached(params: ModelParams, k_max: int, tol: float) -> LimitLaws:
-    return LimitLaws(params, k_max, tol)
-
-
 def adaptive_limit_laws(params: ModelParams, k_last: int,
                         k_cap: int = DEFAULT_K_MAX, tol: float = 1e-10) -> LimitLaws:
-    """Limit laws on the smallest adequate grid for degrees up to ``k_last``.
+    """Limit laws on one grid for degrees up to ``k_last``: the smallest power
+    of two covering twice the last shifted degree ``k_last - 2``, at least 64
+    entries and at most ``k_cap``.
 
-    Starts at the smallest power of two covering twice the last shifted degree
-    ``k_last - 2`` (at least 64 entries) and doubles until both route laws
-    leave at most :data:`GRID_TAIL_RTOL` of their mass at and beyond that
-    degree off the grid, or the grid reaches ``k_cap``.  The truncated
-    convolutions make each grid entry depend on lower entries only, so the
-    point weights are those of the ``k_cap`` grid (the tests check this bit
-    for bit) and the A/B intervals only widen, by the bounded extra tail mass.
-    When the rule cannot be met the laws are the ``k_cap`` build.
+    Each grid entry depends on lower entries only, so the point weights are
+    those of any larger grid (the tests check this bit for bit).  The A/B
+    intervals are two-sided: their width is mass no grid locates, such as
+    count truncation and quadrature error, and the chance that a sum cut short
+    still lies on the grid, which twice the last degree keeps small.
     """
-    k_cap = int(k_cap)
     s = max(int(k_last) - 2, 0)
-    size = max(_MIN_GRID, 1 << max(2 * s - 1, 0).bit_length())
-    last_tails = None
-    while True:
-        size = min(size, k_cap)
-        laws = _limit_laws_cached(params, size, float(tol))
-        route = (laws.closed_law, laws.open_law)
-        tails = [law.tail_mass for law in route]
-        missed = [i for i, law in enumerate(route)
-                  if tails[i] > GRID_TAIL_RTOL * tail_from_pmf(law, s)[0]]
-        if size == k_cap or not missed:
-            return laws
-        # A law that misses the rule although the last doubling did not halve
-        # its tail mass is held up by count truncation and quadrature error,
-        # not by the grid: no grid below the cap meets the rule, so go
-        # straight to the cap.
-        stalled = last_tails is not None and any(
-            tails[i] > 0.5 * last_tails[i] for i in missed)
-        size = k_cap if stalled else 2 * size
-        last_tails = tails
+    size = max(64, 1 << max(2 * s - 1, 0).bit_length())
+    return LimitLaws(params, min(size, int(k_cap)), tol)
 
 
 def coefficient_from_ratio(beta: float, ratio: float) -> float:
@@ -380,7 +345,7 @@ def theory_curve(params: ModelParams, ks, k_max: int = DEFAULT_K_MAX,
                  tol: float = 1e-10) -> list[TheoryRow]:
     """Predicted clustering rows for each k (every k at least 2).
 
-    ``k_max`` caps the numeric grid: the laws come from
+    ``k_max`` caps the numeric grid: the laws come from one build of
     :func:`adaptive_limit_laws`, sized from the largest requested degree.
     Uses the numeric route while the tail intervals stay tight (width at most
     10% of the midpoint); for Pareto pairs it switches to the closed-form

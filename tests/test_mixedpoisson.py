@@ -24,7 +24,8 @@ from rigclust import (
     pmf_offspring,
     sample_biased,
 )
-from rigclust.mixedpoisson import _log_factorials, _poisson_upper_tail
+import rigclust.mixedpoisson as mp
+from rigclust.mixedpoisson import _chernoff_tail, _log_factorials, _poisson_upper_tail
 
 
 def pareto_mixture_entry(x_min: float, alpha: float, scale: float, s: int) -> float:
@@ -129,6 +130,65 @@ def test_pareto_tail_mass_matches_quadrature():
     inner, _ = quad(integrand, z0, 4.0 * k_max, points=[k_max], limit=200)
     outer, _ = quad(integrand, 4.0 * k_max, np.inf)
     assert res.tail_mass == pytest.approx(inner + outer, rel=1e-7)
+
+
+def test_pareto_tail_lo_is_the_tail_integral_less_its_error():
+    # The same law as above: the lower bound sits just under the upper one,
+    # so nearly all of the off-grid mass is located.
+    spec = MixingSpec(Pareto(1.0, 6.0), scale=1.2)
+    res = pmf_mixed_poisson(spec, k_max=64)
+    assert 0.0 < res.tail_mass - res.tail_lo <= 1e-5 * res.tail_mass
+
+
+def test_pareto_tail_lo_covers_the_error_estimate(monkeypatch):
+    # Inflate the halves' Poisson tails against their parent's: the tail
+    # integral comes out 1e-6 too high, the panel error estimate sees the
+    # disagreement, and tail_lo must stay below the true off-grid mass.
+    spec = MixingSpec(Pareto(1.0, 6.0), scale=1.2, bias_order=1)
+    exact = pmf_mixed_poisson(spec, k_max=16, tol=1e-4)
+    tail = mp._poisson_upper_tail
+
+    def inflated(k_max, rates):
+        out = tail(k_max, rates)
+        out[mp._GL_NODES.size:] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(mp, "_poisson_upper_tail", inflated)
+    skewed = pmf_mixed_poisson(spec, k_max=16, tol=1e-4)
+    assert skewed.tail_mass > exact.tail_mass * (1.0 + 0.5e-6)
+    assert skewed.tail_lo <= exact.tail_mass
+
+
+def test_pareto_cut_mass_is_located_by_the_poisson_tail_at_the_cut(monkeypatch):
+    # The mixing mass past the weight cut counts in tail_lo only times a
+    # lower bound on the Poisson tail at the cut, so a zero bound takes it
+    # out again while tail_mass keeps it.
+    spec = MixingSpec(Pareto(1.0, 6.0), scale=1.2, bias_order=1)
+    located = pmf_mixed_poisson(spec, k_max=16)
+    monkeypatch.setattr(mp, "_chernoff_tail", lambda k_max, rate: 0.0)
+    unlocated = pmf_mixed_poisson(spec, k_max=16)
+    assert unlocated.tail_mass == located.tail_mass
+    assert unlocated.tail_lo < located.tail_lo
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 16, 64, 1024])
+def test_chernoff_tail_is_a_lower_bound(k_max):
+    rates = k_max + np.array([-0.5, 0.0, 1.0, 3.0 * math.sqrt(k_max), 8.0 * math.sqrt(k_max + 1)
+                              + 16.0, 10.0 * k_max + 40.0])
+    for rate in rates[rates > 0]:
+        got = _chernoff_tail(k_max, float(rate))
+        assert 0.0 <= got <= float(poisson.sf(k_max, rate)), rate
+    # Past the ridge cut of the quadrature the bound is close to one.
+    assert _chernoff_tail(k_max, k_max + 8.0 * math.sqrt(k_max + 1) + 16.0) > 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("k_max, rate", [(1, 1e-3), (1, 30.0), (16, 2.0), (64, 60.0),
+                                         (64, 64.0), (64, 200.0), (1024, 900.0)])
+def test_degenerate_tail_bounds_bracket_poisson_sf(k_max, rate):
+    # The upper end is the tail series itself, exact to its rounding.
+    res = pmf_mixed_poisson(MixingSpec(Degenerate(rate), scale=1.0), k_max=k_max)
+    sf = float(poisson.sf(k_max, rate))
+    assert 0.0 < res.tail_lo <= sf <= res.tail_mass * (1.0 + 1e-13)
 
 
 def test_normalization_band():
@@ -298,6 +358,15 @@ def test_pmf_validation():
     p = Pmf(np.array([0.25, 0.25]), tail_mass=0.5)
     with pytest.raises(ValueError):
         p.mass[0] = 1.0  # frozen storage
+
+
+def test_pmf_tail_lo_validation():
+    p = Pmf(np.array([0.25, 0.25]), tail_mass=0.5, tail_lo=0.5)
+    assert p.tail_lo == 0.5 and Pmf(np.array([0.5, 0.5])).tail_lo == 0.0
+    with pytest.raises(ValueError, match="tail_lo"):
+        Pmf(np.array([0.25, 0.25]), tail_mass=0.5, tail_lo=-1e-12)
+    with pytest.raises(ValueError, match="tail_lo"):
+        Pmf(np.array([0.25, 0.25]), tail_mass=0.5, tail_lo=0.5 + 1e-12)
 
 
 def test_grid_is_the_one_asked_for():

@@ -66,7 +66,7 @@ def _full_loop(count: Pmf, summand: Pmf, k_max: int, tol: float) -> Pmf:
         if w != 0.0:
             acc += w * power
             acc_tail += w * power_tail
-    return Pmf(acc, stoppedsum._clip_tail(acc, acc_tail))
+    return stoppedsum._pmf(acc, acc_tail, 0.0)
 
 
 def law_pair(x_law: str, y_law: str) -> ModelParams:
@@ -132,6 +132,21 @@ def test_convolve_combines_input_tails():
     # of the input tails (0.15) because tail-tail pairs are double counted.
     assert res.tail_mass == pytest.approx(1.0 - 0.9 * 0.95, abs=1e-12)
     assert float(res.mass.sum()) + res.tail_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_convolve_tail_lo_by_inclusion_exclusion():
+    # Either draw beyond its grid, or both on it with the sum pushed past:
+    # 0.05 + 0.02 - 0.05 * 0.02 + 0.3 * 0.15.
+    p = Pmf(np.array([0.6, 0.3]), tail_mass=0.1, tail_lo=0.05)
+    q = Pmf(np.array([0.8, 0.15]), tail_mass=0.05, tail_lo=0.02)
+    res = convolve(p, q, k_max=1)
+    assert res.tail_lo == pytest.approx(0.05 + 0.02 - 0.001 + 0.045, abs=1e-15)
+    assert res.tail_mass == pytest.approx(1.0 - 0.48 - 0.33, abs=1e-15)
+    # On the full sum grid a draw beyond its own grid can still sum onto it,
+    # so the input bounds do not count, and nothing is pushed.
+    assert convolve(p, q).tail_lo == 0.0
+    # A grid that reaches k_max keeps its bound.
+    assert convolve(p, Pmf.point(0)).tail_lo == pytest.approx(0.05, abs=1e-15)
 
 
 def test_convolve_identity_element():
@@ -229,6 +244,50 @@ def test_count_truncation_goes_to_tail():
     assert res.tail_mass == pytest.approx(30.0 / 51.0, rel=1e-12)
 
 
+def test_count_past_its_grid_is_located_by_the_last_power():
+    # N has mass 0.2 past its grid 0..9 and tau = 2, so d = 2N > 10 exactly
+    # when N >= 6.  The loop adds terms 6..9; the terms past the count grid
+    # are left out, but S_j >= S_9 > 10 puts their mass past the grid too.
+    count = Pmf(np.full(10, 0.08), tail_mass=0.2, tail_lo=0.2)
+    res = pmf_stopped_sum(StoppedSumSpec(count, Pmf.point(2)), k_max=10)
+    assert res.tail_lo == pytest.approx(4 * 0.08 + 0.2, rel=1e-14)
+    assert res.tail_mass == pytest.approx(4 * 0.08 + 0.2, rel=1e-14)
+
+
+def test_truncated_count_mass_on_the_grid_stays_out_of_tail_lo():
+    # Truncation at P(N > i) < 0.5 leaves out N = 26..50, whose sums
+    # S_j = j all lie on the grid: the lost mass is in tail_mass only.
+    count = Pmf(np.full(51, 1.0 / 51.0))
+    res = pmf_stopped_sum(StoppedSumSpec(count, Pmf.point(1)), k_max=100, tol=0.5)
+    assert res.tail_mass == pytest.approx(25.0 / 51.0, rel=1e-12)
+    assert res.tail_lo == 0.0
+
+
+def off_grid(full: np.ndarray, k_max: int) -> Pmf:
+    """The head of a law on 0..k_max, with its rest as both tail bounds."""
+    rest = math.fsum(full[k_max + 1:])
+    return Pmf(full[:k_max + 1], rest, rest)
+
+
+@pytest.mark.parametrize("k_count, k_summand, k_max, tol", [
+    (10, 3, 20, 1e-10), (29, 5, 40, 1e-3), (8, 4, 4, 1e-10), (20, 5, 12, 1e-6)])
+def test_stopped_sum_tail_bounds_bracket_brute_force(k_count, k_summand, k_max, tol):
+    # Laws cut from longer ones: the true mass past k_max comes from the
+    # full laws, and the bounds must hold it whatever the truncation and
+    # early stop leave out.
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        count_full = rng.dirichlet(np.ones(30))
+        summand_full = rng.dirichlet(np.ones(6))
+        exact = brute_stopped_sum(Pmf(count_full), Pmf(summand_full), 200)
+        res = pmf_stopped_sum(StoppedSumSpec(off_grid(count_full, k_count),
+                                             off_grid(summand_full, k_summand)), k_max, tol)
+        beyond = math.fsum(exact[k_max + 1:])
+        assert res.tail_lo <= beyond * (1 + 1e-12) + 1e-15
+        assert beyond <= res.tail_mass * (1 + 1e-12) + 1e-15
+        assert res.tail_lo > 0.0
+
+
 # ---------------------------------------------------------------------------
 # pmf_stopped_sum: the early stop against the full loop
 # ---------------------------------------------------------------------------
@@ -314,3 +373,12 @@ def test_tail_from_pmf():
     lo, hi = tail_from_pmf(p, 0)
     assert lo == pytest.approx(0.9)
     assert hi == pytest.approx(1.0)
+
+
+def test_tail_from_pmf_lower_end_adds_tail_lo_up_to_one_past_the_grid():
+    p = Pmf(np.array([0.5, 0.2, 0.2]), tail_mass=0.1, tail_lo=0.04)
+    assert tail_from_pmf(p, 1) == pytest.approx((0.44, 0.5))
+    # Every value past the grid is >= 3 = k_max + 1 ...
+    assert tail_from_pmf(p, 3) == pytest.approx((0.04, 0.1))
+    # ... but not >= 4.
+    assert tail_from_pmf(p, 4) == (0.0, pytest.approx(0.1))

@@ -511,64 +511,85 @@ def test_adaptive_grid_keeps_point_predictions(adaptive_vs_cap):
         assert got.c_pred == ref.c_pred, got.k
 
 
-def test_adaptive_grid_intervals_contain_cap_midpoints(adaptive_vs_cap):
-    _, adaptive, capped = adaptive_vs_cap
-    for got, ref in zip(adaptive, capped):
-        assert got.C_pred.lo <= ref.C_pred.mid <= got.C_pred.hi, got.k
-        # The grid's share of the width obeys the relative tail bound.
-        for iv, ref_iv in ((got.A, ref.A), (got.B, ref.B)):
-            assert iv.lo <= ref_iv.lo and iv.hi >= ref_iv.hi - 1e-15 * ref_iv.hi
-            assert iv.width <= ref_iv.width + 1.01 * th.GRID_TAIL_RTOL * iv.lo, got.k
-
-
-def test_adaptive_grid_falls_back_to_cap_when_last_row_is_asymptotic():
-    # Degrees past the reliable range never meet the tail rule: the doubling
-    # ends at the cap and the rows equal those of the cap grid.
-    params = pareto_params(7.0, 6.0)
-    ks = list(range(2, 40)) + [60, 100]
-    cap = 512
-    rows = th.theory_curve(params, ks, k_max=cap, tol=1e-8)
-    assert th.adaptive_limit_laws(params, ks[-1], cap, 1e-8).k_max == cap
-    assert rows[-1].asymptotic
-    assert rows == th._curve_rows(LimitLaws(params, k_max=cap, tol=1e-8), ks)
-
-
 def record_builds(monkeypatch):
     sizes = []
-    cached = th._limit_laws_cached
+    build = th.LimitLaws
 
-    def recording(params, k_max, tol):
+    def recording(params, k_max, tol=1e-10):
         sizes.append(k_max)
-        return cached(params, k_max, tol)
+        return build(params, k_max, tol)
 
-    monkeypatch.setattr(th, "_limit_laws_cached", recording)
+    monkeypatch.setattr(th, "LimitLaws", recording)
     return sizes
 
 
-def test_adaptive_grid_doubles_from_the_window(monkeypatch):
+def test_theory_curve_makes_one_build(monkeypatch):
+    sizes = record_builds(monkeypatch)
+    windows = [
+        (ModelParams(10, 10, 1.0, Degenerate(1.1), Degenerate(0.9)), range(2, 13), 64),
+        (pareto_params(7.0, 6.0), range(3, 16), 64),
+        (ModelParams(10000, 10000, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0)), range(3, 51), 128),
+        # Past the numeric rows: still one build, on the window's grid.
+        (pareto_params(7.0, 6.0), list(range(2, 40)) + [250, 300], 1024),
+    ]
+    for params, ks, size in windows:
+        sizes.clear()
+        rows = th.theory_curve(params, ks)
+        assert sizes == [size]
+        assert [row.k for row in rows] == list(ks)
+    assert rows[-1].asymptotic
+
+
+def test_adaptive_grid_covers_twice_the_last_degree(monkeypatch):
+    # The smallest power of two covering 2 * (k_last - 2), at least 64 and
+    # at most the cap.
     sizes = record_builds(monkeypatch)
     params = ModelParams(10, 10, 1.0, Degenerate(1.1), Degenerate(0.9))
-    # Point-mass laws leave no grid tail to speak of: the first grid holds.
-    assert th.adaptive_limit_laws(params, 2, 4096).k_max == 64
-    assert th.adaptive_limit_laws(params, 12, 4096).k_max == 64
+    for k_last in (2, 12, 34):
+        assert th.adaptive_limit_laws(params, k_last).k_max == 64
+    assert th.adaptive_limit_laws(params, 35).k_max == 128
+    assert th.adaptive_limit_laws(params, 50).k_max == 128
     assert th.adaptive_limit_laws(params, 12, 40).k_max == 40
-    assert sizes == [64, 64, 40]
-    sizes.clear()
-    # Pareto tails need a few doublings; the start covers 2 * (k_last - 2).
-    assert th.adaptive_limit_laws(pareto_params(7.0, 6.0), 20, 1024).k_max == 256
-    assert sizes == [64, 128, 256]
-    sizes.clear()
-    th.adaptive_limit_laws(pareto_params(7.0, 6.0), 35, 1024, 1e-6)
-    assert sizes[0] == 128
+    assert th.adaptive_limit_laws(params, 50, 100).k_max == 100
+    assert sizes == [64, 64, 64, 128, 128, 40, 100]
 
 
-def test_adaptive_grid_jumps_to_cap_when_tail_stalls(monkeypatch):
-    # At tol 1e-8 the route tails settle near 1e-8 from count truncation,
-    # above the rule's target at degree 24: once a doubling stops halving
-    # them, the next build is the cap.
-    sizes = record_builds(monkeypatch)
-    params = pareto_params(7.0, 6.0)
-    ks = list(range(3, 25))
-    rows = th.theory_curve(params, ks, k_max=1024, tol=1e-8)
-    assert sizes == [64, 128, 256, 1024]
-    assert rows == th._curve_rows(LimitLaws(params, k_max=1024, tol=1e-8), ks)
+#: The two benchmark windows, and the three acceptance pairs over k 2..50.
+ONE_GRID_WINDOWS = {
+    "theory-dense": ((2.0, 7.0, 6.0), range(3, 51)),
+    "compare-sparse": ((1.0, 7.0, 6.0), range(3, 16)),
+    "pareto(1,9)/(1,5.5)": ((1.0, 9.0, 5.5), range(2, 51)),
+    "pareto(1,7)/(1,6)": ((1.0, 7.0, 6.0), range(2, 51)),
+    "pareto(1,6.6)/(1,5.1)": ((1.0, 6.6, 5.1), range(2, 51)),
+}
+
+
+@pytest.mark.parametrize("window", list(ONE_GRID_WINDOWS))
+def test_adaptive_grid_intervals_overlap_fine_build(window):
+    # Each A/B interval of the one grid overlaps the one-sided interval
+    # [grid sum, grid sum + tail_mass] of a finer build at tol 1e-13, and is
+    # no wider than the cap build's plus 1e-5 of A.
+    (x_min, alpha, gamma), ks = ONE_GRID_WINDOWS[window]
+    params = ModelParams(10000, 10000, 1.0, Pareto(x_min, alpha), Pareto(x_min, gamma))
+    ks = list(ks)
+    rows = th.theory_curve(params, ks, k_max=GRID_CAP)
+    capped = th._curve_rows(LimitLaws(params, k_max=GRID_CAP), ks)
+    fine = LimitLaws(params, k_max=1024, tol=1e-13)
+    assert [row.k for row in rows] == ks and not any(row.asymptotic for row in rows)
+    for got, ref in zip(rows, capped):
+        s = got.k - 2
+        for iv, ref_iv, law, prefactor in (
+                (got.A, ref.A, fine.closed_law, fine.closed_prefactor),
+                (got.B, ref.B, fine.open_law, fine.open_prefactor)):
+            grid = math.fsum(law.mass[s:])
+            assert iv.lo <= prefactor * (grid + law.tail_mass), got.k
+            assert iv.hi >= prefactor * grid, got.k
+            assert iv.width <= ref_iv.width + 1e-5 * got.A.lo, got.k
+
+
+def test_one_grid_keeps_the_asymptotic_switch():
+    # Over k 2..300 the default law pair builds 1024 entries, not the 4096
+    # cap, and turns asymptotic at k = 224, as the cap build does.  Row 223
+    # is numeric with A 9.9 % wide, close to the 10 % switch.
+    rows = th.theory_curve(pareto_params(7.0, 6.0), range(2, 301))
+    assert next(row.k for row in rows if row.asymptotic) == 224
