@@ -31,7 +31,13 @@ partition work.
 
 A panel's Poisson kernel depends on the weight law, its scale and the grid,
 not on the bias order, so :func:`pmf_mixed_poissons` integrates several bias
-orders in lockstep (``theory.LimitLaws`` makes one call per weight side).
+orders of one weight law and scale on one grid in lockstep
+(``theory.LimitLaws`` makes one call per weight side).  A panel and its two
+halves each get one kernel block and one upper-tail evaluation, shared by
+every law that uses them.  Every law keeps its own panel edges, node weights,
+error budget, accept/refine decisions, order of additions and
+:class:`QuadratureError`, so each mass and tail is bit for bit what the law
+gets alone.
 """
 
 from __future__ import annotations
@@ -236,11 +242,11 @@ def _poisson_rows(rates: np.ndarray, s_lo: int, s_hi: int, log_fact: np.ndarray,
 def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
     """P(Poisson(rate) > K) for K = k_max and positive rates.
 
-    The relative error is within :func:`_tail_floor`'s margin.  Each series
-    starts from a leading mass taken in log space.  For rate <= K + 1 the tail is p(K+1) * sum_j
-    prod_{i<=j} rate/(K+1+i), plus a geometric bound on the terms left out,
-    so it stays an upper bound; above K + 1 it is 1 - p(K) * sum_j prod_{i<j}
-    (K-i)/rate.  A series stops once the terms of its slowest row are below
+    The relative error is within the margin of :func:`_tail_bounds`.  Each
+    series starts from a leading mass taken in log space.  For rate <= K + 1
+    the tail is p(K+1) * sum_j prod_{i<=j} rate/(K+1+i), plus a geometric
+    bound on the terms left out; above K + 1 it is 1 - p(K) * sum_j
+    prod_{i<j} (K-i)/rate.  A series stops once the terms of its slowest row are below
     e**-40; a row whose leading mass underflows is 0 (or 1) without summing.
     """
     k = int(k_max)
@@ -278,11 +284,14 @@ def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail_floor(tail: float, k_max: int) -> float:
-    """Lower bound on a sum ``tail`` of :func:`_poisson_upper_tail` values
-    with nonnegative weights.  Against mpmath, every tail above 1e-300 for K
-    up to 4096 is within 6e-13 relative, from its log-space leading mass."""
-    return tail * (1.0 - (k_max + 1000) * 1e-15)
+def _tail_bounds(tail: float, k_max: int) -> tuple[float, float]:
+    """Lower and upper bounds on the true value of a sum ``tail`` of
+    :func:`_poisson_upper_tail` values with nonnegative weights, from the
+    relative margin (K + 1000) * 1e-15.  Against 60-digit sums, every tail
+    above 1e-300 for K up to 65536 is within a tenth of that margin; the
+    error comes from the log-space leading mass."""
+    margin = (k_max + 1000) * 1e-15
+    return tail * (1.0 - margin), tail * (1.0 + margin)
 
 
 def _chernoff_tail(k_max: int, rate: float) -> float:
@@ -325,7 +334,8 @@ def _atomic_mixture(atoms, scale: float, r: int, k_max: int) -> Pmf:
         rate_arr = np.array([rate])
         mass += q * _poisson_rows(rate_arr, 0, k_max, log_fact, index)[0]
         tail += q * float(_poisson_upper_tail(k_max, rate_arr)[0])
-    return Pmf(mass, tail, _tail_floor(tail, k_max))
+    lo, hi = _tail_bounds(tail, k_max)
+    return Pmf(mass, hi, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +479,11 @@ def _pareto_mixtures(law: Pareto, scale: float, orders: list[int], k_max: int,
     for lo, hi in sorted(set().union(*(job.panels for job in states))):
         refine(lo, hi, [(job, job.budget) for job in states if (lo, hi) in job.panels], 0)
     # tail_lo: the tail integral less its error estimate and relative error.
-    return [Pmf(job.mass, job.tail + job.beyond,
-                max(_tail_floor(job.tail, k_max) - job.err + job.beyond_lo, 0.0))
-            for job in states]
+    pmfs = []
+    for job in states:
+        lo, hi = _tail_bounds(job.tail, k_max)
+        pmfs.append(Pmf(job.mass, hi + job.beyond, max(lo - job.err + job.beyond_lo, 0.0)))
+    return pmfs
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +497,10 @@ def pmf_mixed_poissons(specs: Sequence[MixingSpec], k_max: int,
 
     The specs differ at most in their bias order; each pmf is bit for bit the
     one :func:`pmf_mixed_poisson` gives for its spec alone.  For Pareto
-    mixing the laws are integrated in lockstep: a panel and its two halves
-    each get one Poisson kernel block and one upper-tail evaluation, shared by
-    every law that uses them, while every law keeps its own panels, error
-    budget, accept/refine decisions, order of additions and
-    :class:`QuadratureError`.
+    mixing the laws are integrated in lockstep: a panel that several of them
+    use gets one Poisson kernel block and one upper-tail evaluation, while
+    every law keeps its own panels, error budget, accept/refine decisions and
+    order of additions.
     """
     if not specs:
         return []

@@ -8,15 +8,19 @@ direct mixture-of-convolution-powers loop
     P(d = s) = sum_i P(N = i) * tau^{*i}(s),
 
 truncating the count where its remaining probability drops below ``tol`` and
-pushing every neglected or out-of-grid contribution into the tail bound
-``tail_mass``, so the result is a valid :class:`~rigclust.mixedpoisson.Pmf`
-whose tail interval is honest.  ``tail_lo`` gets only mass known to lie past
-the grid.  The loop stops as soon as no later term can change a bit of the
-accumulated pmf, which on a wide grid comes long before the count runs out;
-each convolution is a single C-level ``numpy.convolve``.  The powers
-``tau^{*i}`` depend on the summand alone, so :func:`pmf_stopped_sums` runs
-several counts over one power sequence (``theory.LimitLaws`` makes one call
-for both degree laws).
+pushing every neglected or out-of-grid contribution into the tail bound, so
+the result is a valid :class:`~rigclust.mixedpoisson.Pmf` whose tail interval
+is honest; ``tail_lo`` gets only mass known to lie past the grid.  The loop
+stops as soon as no later term can change a bit of the accumulated pmf, which
+on a wide grid comes long before the count runs out; each convolution is a
+single C-level ``numpy.convolve``.
+
+The powers ``tau^{*i}`` depend on the summand alone, so
+:func:`pmf_stopped_sums` evaluates several counts over one summand with one
+power sequence (``theory.LimitLaws`` makes one call for both degree laws).
+The sequence runs until the last count still running stops.  Every count
+keeps its own truncation, early stop and order of additions, so each mass and
+tail is bit for bit what the count gets alone.
 """
 
 from __future__ import annotations
@@ -170,9 +174,12 @@ def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
     count probability joins the tail bound, as do the summand tail bounds
     (i per convolution power) and any convolution mass beyond the grid.
 
-    The loop stops before term i once no later term could change a bit of
-    the mass, so the mass is the one the full loop gives; the skipped terms
-    add an upper bound on their share to the tail bound.
+    The loop stops before term i once P(i <= N <= n_cut) * G is below a
+    quarter of the smallest spacing of the accumulated pmf, with G the grid
+    mass of tau^{*(i-1)}; no later addition could then change a bit, so the
+    mass is the one the full loop gives.  The skipped terms add
+    P(i <= N <= n_cut) * (tail of tau^{*(i-1)} + (n_cut - i + 1) * summand
+    tail + G) to the tail bound, an upper bound on what the full loop adds.
 
     The default grid covers the full sum support ``count.k_max *
     summand.k_max``, as in :func:`convolve`.  This is the one-count case of

@@ -109,10 +109,15 @@ class LimitLaws:
     the order-3 attribute law) and open-route law (order-2 count stopped sum
     plus two order-2 attribute laws).  The offspring law ``tau`` of both
     stopped sums is the order-1 attribute law, so one lockstep quadrature
-    gives ``tau``, ``lam2`` and ``lam3`` and another the two counts.  Every
-    ingredient is built on the same ``k_max`` grid, so the grid length is
-    decided by the caller alone (see :func:`adaptive_limit_laws`); what falls
-    beyond it is between ``tail_lo`` and ``tail_mass``.
+    gives ``tau``, ``lam2`` and ``lam3`` and another the two counts.  The
+    caller decides the grid ``k_max`` of the sums and the route laws (see
+    :func:`adaptive_limit_laws`); what falls beyond it is between ``tail_lo``
+    and ``tail_mass``.  The counts run on a longer grid, on which the sum of
+    that many ``tau`` has mean at least ``2 * k_max``: a count past their
+    grid then puts its sum past ``k_max`` too, so ``tail_lo`` locates that
+    mass, which would otherwise widen every interval when E[tau] < 2.  That
+    grid is at most ``64 * k_max``, which bounds its memory when E[tau] is
+    tiny; below E[tau] = 1/32 part of that mass stays unlocated.
     """
 
     def __init__(self, params: ModelParams, k_max: int, tol: float = 1e-10):
@@ -122,10 +127,12 @@ class LimitLaws:
         self.tol = float(tol)
 
         # One lockstep quadrature per weight side, one power sequence of tau.
-        self.tau, self.lam2, self.lam3 = pmf_mixed_poissons(
-            [mixing_spec(params, "attribute", r) for r in (1, 2, 3)], self.k_max, tol)
+        attribute = [mixing_spec(params, "attribute", r) for r in (1, 2, 3)]
+        self.tau, self.lam2, self.lam3 = pmf_mixed_poissons(attribute, self.k_max, tol)
+        mean_tau = attribute[0].scale * params.a(2) / params.a(1)
+        self.count_k_max = max(self.k_max, math.ceil(2 * self.k_max / max(mean_tau, 1 / 32)))
         count1, count2 = pmf_mixed_poissons(
-            [mixing_spec(params, "actor", r) for r in (1, 2)], self.k_max, tol)
+            [mixing_spec(params, "actor", r) for r in (1, 2)], self.count_k_max, tol)
         self.d1, self.d2 = pmf_stopped_sums([count1, count2], self.tau, self.k_max, tol)
 
         self.closed_law: Pmf = convolve(self.d1, self.lam3, self.k_max)
@@ -163,9 +170,10 @@ def adaptive_limit_laws(params: ModelParams, k_last: int,
 
     Each grid entry depends on lower entries only, so the point weights are
     those of any larger grid (the tests check this bit for bit).  The A/B
-    intervals are two-sided: their width is mass no grid locates, such as
-    count truncation and quadrature error, and the chance that a sum cut short
-    still lies on the grid, which twice the last degree keeps small.
+    intervals are two-sided, and their width is mostly mass no grid locates,
+    such as count truncation and quadrature error.  Twice the last degree
+    keeps small the chance that a sum cut short by the grid still lies on it;
+    :class:`LimitLaws` sizes the grid of the counts to the same end.
     """
     s = max(int(k_last) - 2, 0)
     size = max(64, 1 << max(2 * s - 1, 0).bit_length())

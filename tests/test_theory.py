@@ -529,6 +529,8 @@ def test_theory_curve_makes_one_build(monkeypatch):
         (ModelParams(10, 10, 1.0, Degenerate(1.1), Degenerate(0.9)), range(2, 13), 64),
         (pareto_params(7.0, 6.0), range(3, 16), 64),
         (ModelParams(10000, 10000, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0)), range(3, 51), 128),
+        # E[tau] = 0.36: the counts run on a longer grid, the sums do not.
+        (pareto_params(7.0, 6.0, beta=16.0), range(2, 51), 128),
         # Past the numeric rows: still one build, on the window's grid.
         (pareto_params(7.0, 6.0), list(range(2, 40)) + [250, 300], 1024),
     ]
@@ -554,37 +556,56 @@ def test_adaptive_grid_covers_twice_the_last_degree(monkeypatch):
     assert sizes == [64, 64, 64, 128, 128, 40, 100]
 
 
-#: The two benchmark windows, and the three acceptance pairs over k 2..50.
+#: The two benchmark windows, the three acceptance pairs over k 2..50, and two
+#: pairs with E[tau] below 1 (beta = 16, and a smaller attribute x_min), whose
+#: counts reach the last degree only past the sums' grid.
 ONE_GRID_WINDOWS = {
-    "theory-dense": ((2.0, 7.0, 6.0), range(3, 51)),
-    "compare-sparse": ((1.0, 7.0, 6.0), range(3, 16)),
-    "pareto(1,9)/(1,5.5)": ((1.0, 9.0, 5.5), range(2, 51)),
-    "pareto(1,7)/(1,6)": ((1.0, 7.0, 6.0), range(2, 51)),
-    "pareto(1,6.6)/(1,5.1)": ((1.0, 6.6, 5.1), range(2, 51)),
+    "theory-dense": (1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0), range(3, 51)),
+    "compare-sparse": (1.0, Pareto(1.0, 7.0), Pareto(1.0, 6.0), range(3, 16)),
+    "pareto(1,9)/(1,5.5)": (1.0, Pareto(1.0, 9.0), Pareto(1.0, 5.5), range(2, 51)),
+    "pareto(1,7)/(1,6)": (1.0, Pareto(1.0, 7.0), Pareto(1.0, 6.0), range(2, 51)),
+    "pareto(1,6.6)/(1,5.1)": (1.0, Pareto(1.0, 6.6), Pareto(1.0, 5.1), range(2, 51)),
+    "beta=16 pareto(1,7)/(1,6)": (16.0, Pareto(1.0, 7.0), Pareto(1.0, 6.0), range(2, 51)),
+    "pareto(0.5,7)/(1,6)": (1.0, Pareto(0.5, 7.0), Pareto(1.0, 6.0), range(2, 51)),
 }
 
 
 @pytest.mark.parametrize("window", list(ONE_GRID_WINDOWS))
 def test_adaptive_grid_intervals_overlap_fine_build(window):
-    # Each A/B interval of the one grid overlaps the one-sided interval
-    # [grid sum, grid sum + tail_mass] of a finer build at tol 1e-13, and is
-    # no wider than the cap build's plus 1e-5 of A.
-    (x_min, alpha, gamma), ks = ONE_GRID_WINDOWS[window]
-    params = ModelParams(10000, 10000, 1.0, Pareto(x_min, alpha), Pareto(x_min, gamma))
+    # On the one grid every row keeps the cap build's point values and
+    # switch; each A/B interval is no wider than the cap build's plus 1e-5 of
+    # its own lower end, and each A/B/C_pred interval overlaps that of a finer
+    # build at tol 1e-13, up to 1e-9 relative: the intervals bound the
+    # off-grid mass, not the quadrature error of the grid masses, by which B
+    # of the beta = 16 pair misses the finer build by up to 2e-10 relative.
+    beta, x_law, y_law, ks = ONE_GRID_WINDOWS[window]
+    params = ModelParams(10000, round(10000 * beta), beta, x_law, y_law)
     ks = list(ks)
     rows = th.theory_curve(params, ks, k_max=GRID_CAP)
     capped = th._curve_rows(LimitLaws(params, k_max=GRID_CAP), ks)
-    fine = LimitLaws(params, k_max=1024, tol=1e-13)
-    assert [row.k for row in rows] == ks and not any(row.asymptotic for row in rows)
-    for got, ref in zip(rows, capped):
-        s = got.k - 2
-        for iv, ref_iv, law, prefactor in (
-                (got.A, ref.A, fine.closed_law, fine.closed_prefactor),
-                (got.B, ref.B, fine.open_law, fine.open_prefactor)):
-            grid = math.fsum(law.mass[s:])
-            assert iv.lo <= prefactor * (grid + law.tail_mass), got.k
-            assert iv.hi >= prefactor * grid, got.k
-            assert iv.width <= ref_iv.width + 1e-5 * got.A.lo, got.k
+    fine = th._curve_rows(LimitLaws(params, k_max=GRID_CAP, tol=1e-13), ks)
+    assert [row.k for row in rows] == ks and not any(row.asymptotic for row in capped)
+    for got, ref, fine_row in zip(rows, capped, fine):
+        assert got.asymptotic == ref.asymptotic, got.k
+        assert (got.a, got.b, got.c_pred) == (ref.a, ref.b, ref.c_pred), got.k
+        for iv, ref_iv in ((got.A, ref.A), (got.B, ref.B)):
+            assert iv.width <= ref_iv.width + 1e-5 * iv.lo, got.k
+        for iv, fine_iv in ((got.A, fine_row.A), (got.B, fine_row.B),
+                            (got.C_pred, fine_row.C_pred)):
+            slack = 1e-9 * fine_iv.hi
+            assert iv.lo <= fine_iv.hi + slack and fine_iv.lo <= iv.hi + slack, got.k
+
+
+def test_counts_run_on_a_grid_a_sum_of_them_leaves():
+    # The counts' grid is long enough that the sum of that many tau has mean
+    # at least twice the sums' grid: E[tau] = 1.44 at beta = 1 and 0.36 at
+    # beta = 16 for pareto(1,7)/(1,6), and 5.76 for pareto(2,7)/(2,6).  At
+    # most 64 times the sums' grid: E[tau] = 1e-4 for the degenerate pair.
+    cases = [(pareto_params(7.0, 6.0), 178), (pareto_params(7.0, 6.0, beta=16.0), 712),
+             (ModelParams(100, 100, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0)), 128),
+             (ModelParams(100, 100, 1.0, Degenerate(1e-4), Degenerate(1.0)), 8192)]
+    for params, count_k_max in cases:
+        assert LimitLaws(params, 128).count_k_max == count_k_max
 
 
 def test_one_grid_keeps_the_asymptotic_switch():
