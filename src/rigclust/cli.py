@@ -26,11 +26,11 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 
 from .experiment import (
     CONFIG_PARSERS,
     UsageError,
+    WorkerError,
     _bool,
     _location,
     build_config,
@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except BrokenExecutor as exc:
+    except WorkerError as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_WORKER
     except OSError as exc:

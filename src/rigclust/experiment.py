@@ -21,13 +21,10 @@ replicates are independent and the reduction is ordered.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import math
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -47,6 +44,7 @@ from .weights import Degenerate, Finite, ModelParams, Pareto, WeightLaw
 
 __all__ = [
     "UsageError",
+    "WorkerError",
     "ExperimentConfig",
     "CONFIG_PARSERS",
     "REPORT_COLUMNS",
@@ -76,6 +74,10 @@ CALIBRATION_NOTE = (
 
 class UsageError(ValueError):
     """Bad command line, config key, or config value."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process died before returning its replicates."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,8 @@ def canonical_config_text(config: ExperimentConfig) -> str:
 
 
 def config_hash(config: ExperimentConfig) -> str:
+    import hashlib
+
     return hashlib.sha256(canonical_config_text(config).encode()).hexdigest()
 
 
@@ -349,8 +353,14 @@ def _run_replicates(config: ExperimentConfig, workers: int):
     workers = _pool_size(config, workers)
     if workers == 1:
         return [_one_replicate(config, i) for i in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool_:
-        return list(pool_.map(_one_replicate, [config] * config.replicates, indices))
+    # Imported here, so a run in one process loads no pool machinery.
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool_:
+            return list(pool_.map(_one_replicate, [config] * config.replicates, indices))
+    except BrokenExecutor as exc:
+        raise WorkerError(str(exc)) from exc
 
 
 #: Columns of ``report.csv``, and the keys of each row of a report.
@@ -400,6 +410,8 @@ class ComparisonReport:
         }
 
     def write(self, out_dir: str) -> None:
+        import json
+
         os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS,
                   [[row[name] for name in REPORT_COLUMNS] for row in self.rows])

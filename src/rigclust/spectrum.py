@@ -15,11 +15,14 @@ Per-vertex triangle counts come from the degree-ordered orientation: each edge
 points from the endpoint with smaller (degree, id) to the larger.  An oriented
 edge v -> w and any x in out(w) form a wedge, which is a triangle exactly when
 v -> x is an oriented edge too; every triangle is found once this way, from
-its lowest and middle corners, and all three corners are credited.  The test
-is a binary search of the sorted keys v*n + x of the oriented edges, run on
-chunks of about ``_WEDGE_CHUNK`` wedges so the temporaries stay bounded
+its lowest and middle corners, and all three corners are credited
 (edge-iterator triangle listing; Latapy 2008, "Main-memory triangle
-computations for very large (sparse (power-law)) graphs").
+computations for very large (sparse (power-law)) graphs").  The wedges are
+made in chunks of about ``_WEDGE_CHUNK`` so the temporaries stay bounded.
+Each chunk hashes the keys v*n + x of the oriented edges its wedges can
+close into a table of 2 to 4 slots per key, and each wedge's closing key
+is tested by one probe of that table; only a miss on a slot that several
+keys share is settled by a binary search of the sorted keys.
 
 This module also owns the package's file formats: the 'u v' edge list
 (:func:`read_edge_list`, :func:`write_edge_list`) and every CSV table, which
@@ -54,9 +57,14 @@ __all__ = [
 ]
 
 
-#: Wedges checked per step of :func:`triangle_counts`; it bounds the
-#: temporaries (a few int64 arrays of this length).
+#: Wedges plus oriented edges per step of :func:`triangle_counts`; it bounds
+#: the temporaries (a few int64 arrays of about this length, and a probe
+#: table of up to four times it).
 _WEDGE_CHUNK = 1 << 17
+
+#: Multiplier of the hash that places oriented-edge keys in the table of
+#: :func:`_is_key`: 2**64 divided by the golden ratio, rounded to odd.
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 
 
 #: The largest vertex id read: the vertex count max id + 1 must fit in int64.
@@ -97,9 +105,7 @@ def triangle_counts(g: ProjectedGraph) -> np.ndarray:
     """Number of triangles through each vertex."""
     n = g.n
     counts = np.zeros(n, dtype=np.int64)
-    # rank = position in the (degree, id) order; orientation low -> high.
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort((np.arange(n), g.degrees))] = np.arange(n)
+    rank = _degree_rank(g.degrees)  # orientation low -> high
     src = np.repeat(np.arange(n), g.degrees)
     up = rank[src] < rank[g.neighbors]
     es, ed = src[up], g.neighbors[up]  # oriented edges, sorted by (es, ed)
@@ -112,8 +118,11 @@ def triangle_counts(g: ProjectedGraph) -> np.ndarray:
     # found only here, when v -> x is an oriented edge too.
     per_edge = np.diff(out_ptr)[ed]
     ends = np.cumsum(per_edge)
-    total = int(ends[-1]) if ends.size else 0
-    cuts = np.searchsorted(ends, np.arange(_WEDGE_CHUNK, total, _WEDGE_CHUNK), side="right")
+    # A step takes about _WEDGE_CHUNK wedges and edges together: its edges'
+    # rows fill the probe table even where they make no wedge.
+    work = ends + np.arange(1, ends.size + 1)
+    total = int(work[-1]) if work.size else 0
+    cuts = np.searchsorted(work, np.arange(_WEDGE_CHUNK, total, _WEDGE_CHUNK), side="right")
     # The bounds come sorted; drop repeats without np.unique, which imports numpy.ma.
     bounds = np.concatenate(([0], cuts, [es.size]))
     bounds = bounds[np.flatnonzero(np.diff(bounds, prepend=-1))]
@@ -125,10 +134,52 @@ def triangle_counts(g: ProjectedGraph) -> np.ndarray:
         # Every closing key lies in the rows es[a]..es[b - 1]; the key just
         # past them bounds the search.
         rows = keys[out_ptr[es[a]]:out_ptr[es[b - 1] + 1] + 1]
-        hit = np.flatnonzero(rows[np.searchsorted(rows, closing)] == closing)
+        hit = np.flatnonzero(_is_key(closing, rows))
         edge = a + np.searchsorted(stop, hit, side="right")
         np.add.at(counts, np.concatenate([es[edge], ed[edge], x[hit]]), 1)
     return counts
+
+
+def _degree_rank(degrees: np.ndarray) -> np.ndarray:
+    """Position of each vertex in the (degree, id) order.  numpy sorts
+    small unsigned keys stably by radix, so the degrees go in narrowed."""
+    rank = np.empty(degrees.size, dtype=np.int64)
+    small = degrees.astype(np.min_scalar_type(int(degrees.max(initial=0))))
+    rank[np.argsort(small, kind="stable")] = np.arange(degrees.size)
+    return rank
+
+
+def _is_key(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each query is one of ``keys``: sorted distinct int64 at least
+    0, the last above every query.
+
+    The keys go into a table of 2 to 4 slots per key, each at the slot of
+    its multiplicative hash, with -1 in the empty slots, and each query
+    probes its own slot once.  A probe that finds its query is a member;
+    one that misses on a slot at most one key hashed to is not, since that
+    key, if any, is in the slot.  Only a miss on a slot that several keys
+    share, one of which won it, falls back to a binary search of the keys.
+    """
+    bits = keys.size.bit_length() + 1
+    slot = _hash(keys, bits)
+    table = np.full(1 << bits, -1, dtype=np.int64)
+    table[slot] = keys
+    crowded = np.zeros(table.size, dtype=bool)
+    crowded[slot[table[slot] != keys]] = True
+    probe = _hash(queries, bits)
+    found = table[probe] == queries
+    miss = np.flatnonzero(crowded[probe])
+    miss = miss[~found[miss]]
+    found[miss] = keys[np.searchsorted(keys, queries[miss])] == queries[miss]
+    return found
+
+
+def _hash(values: np.ndarray, bits: int) -> np.ndarray:
+    """Multiplicative hash of values >= 0 into [0, 2**bits): the top bits
+    of their product with ``_HASH_MULT``, modulo 2**64."""
+    h = values.view(np.uint64) * _HASH_MULT
+    h >>= np.uint64(64 - bits)
+    return h.view(np.int64)
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,7 @@ class KilledPool:
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_killed_worker_exit_four(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr("rigclust.experiment.ProcessPoolExecutor", KilledPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", KilledPool)
     code, out, err = run_main(
         [command, *BASE, "--replicates", "2", "--workers", "2", "--k-max", "6",
          "--output-dir", str(tmp_path / "out")], capsys)
@@ -412,12 +412,14 @@ def test_input_that_is_not_utf8_gets_one_line(tmp_path, capsys, argv, code):
 
 
 def test_stats_imports_no_scipy(tmp_path):
-    # scipy is only needed by the theory; `stats` must not pay for its import.
+    # The package runs on numpy alone, and `stats` starts no pool and writes
+    # no report, so it must not pay for those imports either.
     path = tmp_path / "edges.txt"
     path.write_text("0 1\n0 2\n1 2\n")
     script = ("import sys, rigclust.cli\n"
               f"code = rigclust.cli.main(['stats', '--edges', {str(path)!r}])\n"
-              "print([m for m in sys.modules if m.startswith('scipy')], code)")
+              "print([m for m in sys.modules if m.split('.')[0] in ('scipy',"
+              " 'concurrent', 'multiprocessing', 'hashlib', 'json')], code)")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -431,11 +433,16 @@ def test_stats_imports_no_scipy(tmp_path):
 ], ids=["theory", "compare"])
 def test_theory_and_compare_import_no_scipy(argv, tmp_path):
     # The theory is numpy-only, no command dedupes with np.unique, which
-    # imports numpy.ma, and runinfo.json reads no package metadata.
+    # imports numpy.ma, and runinfo.json reads no package metadata.  `theory`
+    # starts no pool and writes no report; `compare` with one worker writes
+    # a report but starts no pool.
     argv = [a.format(out=tmp_path / "out") for a in argv]
+    unused = ["scipy", "concurrent", "multiprocessing"]
+    if argv[0] == "theory":
+        unused += ["hashlib", "json"]
     script = ("import sys, rigclust.cli\n"
               f"code = rigclust.cli.main({argv!r})\n"
-              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'"
+              f"print([m for m in sys.modules if m.split('.')[0] in {unused!r}"
               " or m.split('.')[:2] in (['numpy', 'ma'], ['importlib', 'metadata'])],"
               " code)")
     proc = subprocess.run([sys.executable, "-c", script],

@@ -346,7 +346,7 @@ def test_worker_pool_never_exceeds_replicates(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr("rigclust.experiment.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     for replicates, workers in ((2, 5000), (3, 2), (1, 8)):
         cfg = build_config(config_values(n=60, m=60, replicates=str(replicates)))
         assert len(simulate(cfg, workers=workers).spectra) == replicates

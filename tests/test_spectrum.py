@@ -54,6 +54,13 @@ def test_triangle_counts_hand_graphs():
     assert np.array_equal(triangle_counts(cycle5), np.zeros(5))
     tri_pendant = graph_of(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
     assert np.array_equal(triangle_counts(tri_pendant), [1, 1, 1, 0])
+    # The orientation ranks vertices in the (degree, id) order of a lexsort,
+    # on degrees with many ties and on degrees too wide for one byte.
+    for deg in (np.random.default_rng(5).integers(0, 4, 500),
+                np.array([300, 2, 300, 0, 2, 70000, 2, 255, 256])):
+        rank = np.empty(deg.size, dtype=np.int64)
+        rank[np.lexsort((np.arange(deg.size), deg))] = np.arange(deg.size)
+        assert np.array_equal(spectrum._degree_rank(deg), rank)
 
 
 def triple_enumeration_counts(g):
@@ -73,16 +80,37 @@ def test_triangle_counts_match_triple_enumeration():
         assert np.array_equal(triangle_counts(g), triple_enumeration_counts(g))
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 7])
-def test_triangle_counts_span_many_wedge_chunks(monkeypatch, chunk):
+@pytest.mark.parametrize("chunk,mult", [
+    *(pytest.param(c, spectrum._HASH_MULT, id=str(c)) for c in (1, 3, 7)),
+    *(pytest.param(c, np.uint64(0), id=f"{c}-one-slot") for c in (1, 3, 7)),
+])
+def test_triangle_counts_span_many_wedge_chunks(monkeypatch, chunk, mult):
     # A chunk of a few wedges splits one graph into many steps, and single
-    # edges with more wedges than a chunk get a step of their own.
+    # edges with more wedges than a chunk get a step of their own.  A hash
+    # multiplier of 0 sends every key to one slot, so every probe that
+    # misses takes the binary search.
     monkeypatch.setattr(spectrum, "_WEDGE_CHUNK", chunk)
+    monkeypatch.setattr(spectrum, "_HASH_MULT", mult)
     rng = np.random.default_rng(99)
     for _ in range(6):
         g = random_graph(rng, int(rng.integers(8, 16)), float(rng.uniform(0.3, 0.9)))
         assert np.array_equal(triangle_counts(g), triple_enumeration_counts(g))
     assert np.array_equal(triangle_counts(complete_graph(9)), np.full(9, 28))
+
+
+def test_triangle_counts_on_a_clique_union():
+    # Overlapping cliques: many triangles, and in one wedge chunk enough
+    # keys that several share a slot of the probe table.
+    rng = np.random.default_rng(2024)
+    n = 300
+    edges = []
+    for _ in range(120):
+        members = rng.choice(n, size=int(rng.integers(2, 14)), replace=False)
+        edges.extend(itertools.combinations(members.tolist(), 2))
+    g = graph_of(n, edges)
+    adj = adjacency_sets(g)
+    expect = [sum(len(adj[v] & adj[w]) for w in adj[v]) // 2 for v in range(n)]
+    assert np.array_equal(triangle_counts(g), expect)
 
 
 def test_triangle_counts_empty_graph():
