@@ -23,7 +23,6 @@ killed, for example by the out-of-memory killer).  ``simulate`` and
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -132,6 +131,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_fit_delta(args) -> int:
+    import csv
+
     try:
         with open(args.csv, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)

@@ -37,8 +37,8 @@ from .graphgen import (
     project,
     sample_bipartite,
 )
-from .spectrum import (ClusteringSpectrum, clustering_spectrum, pool, write_csv,
-                       write_spectrum_csv)
+from .spectrum import (ClusteringSpectrum, clustering_spectrum, pool, usable_cpus,
+                       write_csv, write_spectrum_csv)
 from .theory import DEFAULT_K_MAX, pareto_delta, ratio_from_coefficient, theory_curve
 from .weights import Degenerate, Finite, ModelParams, Pareto, WeightLaw
 
@@ -331,14 +331,14 @@ def default_delta_window(pooled: ClusteringSpectrum,
 # Running experiments
 # ---------------------------------------------------------------------------
 
-def _one_replicate(config: ExperimentConfig, index: int):
+def _one_replicate(config: ExperimentConfig, index: int, threads: int | None = None):
     seed = replicate_seed(config.master_seed, index)
     sample = sample_bipartite(config.params, seed, config.generator)
     try:
         graph = project(sample, config.edge_budget)
     except EdgeBudgetError as exc:
         return index, None, str(exc)
-    return index, clustering_spectrum(graph), None
+    return index, clustering_spectrum(graph, threads), None
 
 
 def _pool_size(config: ExperimentConfig, workers: int) -> int:
@@ -356,9 +356,13 @@ def _run_replicates(config: ExperimentConfig, workers: int):
     # Imported here, so a run in one process loads no pool machinery.
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
+    # The workers split the CPUs among their triangle counters, so W workers
+    # never start W threads per CPU.
+    threads = [max(1, usable_cpus() // workers)] * config.replicates
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool_:
-            return list(pool_.map(_one_replicate, [config] * config.replicates, indices))
+            return list(pool_.map(_one_replicate, [config] * config.replicates, indices,
+                                  threads))
     except BrokenExecutor as exc:
         raise WorkerError(str(exc)) from exc
 

@@ -42,6 +42,7 @@ gets alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -342,8 +343,18 @@ def _atomic_mixture(atoms, scale: float, r: int, k_max: int) -> Pmf:
 # Pareto mixing laws: deterministic adaptive panel quadrature, in lockstep
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _MAX_DEPTH = 14
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 24-point Gauss-Legendre nodes and weights on [-1, 1], built on
+    first use, so a command that runs no quadrature never imports
+    ``numpy.polynomial``.  Read-only: every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _panel_widths(w: float, scale: float, ridge_end: float) -> float:
@@ -399,14 +410,15 @@ def _panel(lo: float, hi: float, scale: float, k_max: int, log_fact: np.ndarray,
            index: np.ndarray) -> _Panel:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    w = mid + half * _GL_NODES
+    nodes, weights = _gauss_legendre()
+    w = mid + half * nodes
     rates = scale * w
     # Window from the panel *endpoints* so a child's window nests in its
     # parent's (node positions alone would not nest).
     s_lo, s_hi = _support_window(scale * lo, scale * hi)
     s_hi = min(s_hi, k_max)
     block = _poisson_rows(rates, s_lo, s_hi, log_fact, index) if s_lo <= s_hi else None
-    return _Panel(half * _GL_WEIGHTS, w, rates, s_lo, block)
+    return _Panel(half * weights, w, rates, s_lo, block)
 
 
 def _job_panel(job: _Job, panel: _Panel) -> tuple[int, np.ndarray, np.ndarray]:
@@ -425,7 +437,7 @@ def _pareto_mixtures(law: Pareto, scale: float, orders: list[int], k_max: int,
     states = [_Job(law, scale, r, k_max, tol) for r in orders]
     log_fact = _log_factorials(k_max)
     index = np.arange(k_max + 1.0)
-    n = _GL_NODES.size
+    n = _gauss_legendre()[0].size
 
     def settle(lo: float, mid: float, hi: float,
                jobs: list[_Job]) -> list[tuple[int, np.ndarray, float, float]]:

@@ -20,9 +20,19 @@ its lowest and middle corners, and all three corners are credited
 computations for very large (sparse (power-law)) graphs").  The wedges are
 made in chunks of about ``_WEDGE_CHUNK`` so the temporaries stay bounded.
 Each chunk hashes the keys v*n + x of the oriented edges its wedges can
-close into a table of 2 to 4 slots per key, and each wedge's closing key
-is tested by one probe of that table; only a miss on a slot that several
+close into a table of 4 to 8 slots per key, and each wedge's closing key
+is tested by one probe of that table; only a probe of a slot that several
 keys share is settled by a binary search of the sorted keys.
+
+The steps are independent, so they run on threads, one per CPU the process
+may run on by default and never more than there are steps (multicore
+edge-iterator counting; Shun and Tangwongsan 2015, "Multicore triangle
+computations without tuning").  The threads share the ``_WEDGE_CHUNK``
+budget, each step taking ``_WEDGE_CHUNK // threads``, so the temporaries in
+flight stay within one chunk's bound; a step makes its wedges by gathers,
+which release the interpreter lock where ``np.repeat`` does not.  Every
+step adds its corners into one count array under a lock, so the counts are
+exact integers, the same on any number of threads.
 
 This module also owns the package's file formats: the 'u v' edge list
 (:func:`read_edge_list`, :func:`write_edge_list`) and every CSV table, which
@@ -35,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,6 +59,7 @@ __all__ = [
     "ClusteringSpectrum",
     "triangle_counts",
     "clustering_spectrum",
+    "usable_cpus",
     "pool",
     "read_edge_list",
     "write_edge_list",
@@ -59,7 +71,7 @@ __all__ = [
 
 #: Wedges plus oriented edges per step of :func:`triangle_counts`; it bounds
 #: the temporaries (a few int64 arrays of about this length, and a probe
-#: table of up to four times it).
+#: table of up to eight times it).
 _WEDGE_CHUNK = 1 << 17
 
 #: Multiplier of the hash that places oriented-edge keys in the table of
@@ -101,8 +113,29 @@ def write_csv(file, header, rows) -> None:
             f.write(",".join(map(cell, row)) + "\n")
 
 
-def triangle_counts(g: ProjectedGraph) -> np.ndarray:
-    """Number of triangles through each vertex."""
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def triangle_counts(g: ProjectedGraph, threads: int | None = None) -> np.ndarray:
+    """Number of triangles through each vertex.
+
+    The wedge steps run on ``threads`` threads (default :func:`usable_cpus`),
+    never more than there are steps, so a graph of one step starts none.
+    The threads share the ``_WEDGE_CHUNK`` budget, each step taking
+    ``_WEDGE_CHUNK // threads``, and add their corners into one array under
+    a lock, so the counts are the same integers on any number of threads.
+    An exception in any step is raised here once every thread has ended.
+    """
+    if threads is None:
+        threads = usable_cpus()
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n = g.n
     counts = np.zeros(n, dtype=np.int64)
     rank = _degree_rank(g.degrees)  # orientation low -> high
@@ -118,25 +151,55 @@ def triangle_counts(g: ProjectedGraph) -> np.ndarray:
     # found only here, when v -> x is an oriented edge too.
     per_edge = np.diff(out_ptr)[ed]
     ends = np.cumsum(per_edge)
-    # A step takes about _WEDGE_CHUNK wedges and edges together: its edges'
-    # rows fill the probe table even where they make no wedge.
+    # A step takes about `chunk` wedges and edges together: its edges' rows
+    # fill the probe table even where they make no wedge.
     work = ends + np.arange(1, ends.size + 1)
     total = int(work[-1]) if work.size else 0
-    cuts = np.searchsorted(work, np.arange(_WEDGE_CHUNK, total, _WEDGE_CHUNK), side="right")
+    chunk = max(1, _WEDGE_CHUNK // threads)
+    cuts = np.searchsorted(work, np.arange(chunk, total, chunk), side="right")
     # The bounds come sorted; drop repeats without np.unique, which imports numpy.ma.
     bounds = np.concatenate(([0], cuts, [es.size]))
     bounds = bounds[np.flatnonzero(np.diff(bounds, prepend=-1))]
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        size = per_edge[a:b]
-        stop = ends[a:b] - (ends[a - 1] if a else 0)  # wedge ends in the chunk
-        x = ed[np.repeat(out_ptr[ed[a:b]] + size - stop, size) + np.arange(stop[-1])]
-        closing = np.repeat(es[a:b] * np.int64(n), size) + x
-        # Every closing key lies in the rows es[a]..es[b - 1]; the key just
-        # past them bounds the search.
-        rows = keys[out_ptr[es[a]]:out_ptr[es[b - 1] + 1] + 1]
-        hit = np.flatnonzero(_is_key(closing, rows))
-        edge = a + np.searchsorted(stop, hit, side="right")
-        np.add.at(counts, np.concatenate([es[edge], ed[edge], x[hit]]), 1)
+    steps = iter(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    take, add = threading.Lock(), threading.Lock()
+    errors = []
+
+    def run_steps():
+        try:
+            while not errors:
+                with take:
+                    step = next(steps, None)
+                if step is None:
+                    return
+                a, b = step
+                size = per_edge[a:b]
+                stop = ends[a:b] - (ends[a - 1] if a else 0)  # wedge ends in the chunk
+                w = int(stop[-1])
+                # The chunk edge of each wedge, by gathers: np.repeat would
+                # hold the interpreter lock.
+                e = np.cumsum(np.bincount(stop[:-1], minlength=w)[:w])
+                x = ed[(out_ptr[ed[a:b]] + size - stop)[e] + np.arange(w)]
+                closing = (es[a:b] * np.int64(n))[e] + x
+                # Every closing key lies in the rows es[a]..es[b - 1]; the
+                # key just past them bounds the search.
+                rows = keys[out_ptr[es[a]]:out_ptr[es[b - 1] + 1] + 1]
+                hit = np.flatnonzero(_is_key(closing, rows))
+                edge = a + e[hit]
+                corners = np.concatenate([es[edge], ed[edge], x[hit]])
+                with add:
+                    np.add.at(counts, corners, 1)
+        except BaseException as exc:  # raised in the calling thread below
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run_steps)
+               for _ in range(min(threads, bounds.size - 1) - 1)]
+    for t in helpers:
+        t.start()
+    run_steps()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
     return counts
 
 
@@ -153,24 +216,24 @@ def _is_key(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each query is one of ``keys``: sorted distinct int64 at least
     0, the last above every query.
 
-    The keys go into a table of 2 to 4 slots per key, each at the slot of
-    its multiplicative hash, with -1 in the empty slots, and each query
-    probes its own slot once.  A probe that finds its query is a member;
-    one that misses on a slot at most one key hashed to is not, since that
-    key, if any, is in the slot.  Only a miss on a slot that several keys
-    share, one of which won it, falls back to a binary search of the keys.
+    The keys go into a table of 4 to 8 slots per key, each at the slot of
+    its multiplicative hash, with the largest int64 in the empty slots, and
+    each query probes its own slot once.  A probe that finds its query is a
+    member; one that finds another value at least 0 is not, since at most
+    one key hashed there and it is in the slot.  A slot that several keys
+    share holds the complement of the one that won it, below 0, and only a
+    probe of such a slot falls back to a binary search of the keys.
     """
-    bits = keys.size.bit_length() + 1
+    bits = keys.size.bit_length() + 2
     slot = _hash(keys, bits)
-    table = np.full(1 << bits, -1, dtype=np.int64)
+    table = np.full(1 << bits, np.iinfo(np.int64).max, dtype=np.int64)
     table[slot] = keys
-    crowded = np.zeros(table.size, dtype=bool)
-    crowded[slot[table[slot] != keys]] = True
-    probe = _hash(queries, bits)
-    found = table[probe] == queries
-    miss = np.flatnonzero(crowded[probe])
-    miss = miss[~found[miss]]
-    found[miss] = keys[np.searchsorted(keys, queries[miss])] == queries[miss]
+    shared = slot[table[slot] != keys]  # the slots some key lost
+    table[shared] = ~table[shared]
+    probe = table[_hash(queries, bits)]
+    found = probe == queries
+    search = np.flatnonzero(probe < 0)
+    found[search] = keys[np.searchsorted(keys, queries[search])] == queries[search]
     return found
 
 
@@ -230,9 +293,10 @@ class ClusteringSpectrum:
         return float(self.cum_tri[k]) / float(self.cum_cherry[k])
 
 
-def clustering_spectrum(g: ProjectedGraph) -> ClusteringSpectrum:
+def clustering_spectrum(g: ProjectedGraph, threads: int | None = None) -> ClusteringSpectrum:
+    """Degree-indexed sums of ``g``; ``threads`` as in :func:`triangle_counts`."""
     deg = g.degrees
-    tri = triangle_counts(g)
+    tri = triangle_counts(g, threads)
     cherries = deg * (deg - 1) // 2
     length = int(deg.max()) + 1 if g.n else 1
     n_vertices = np.bincount(deg, minlength=length)

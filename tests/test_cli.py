@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, routing, and exit codes."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import rigclust.spectrum as spectrum
+from rigclust import read_edge_list, triangle_counts
 from rigclust.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
@@ -411,15 +414,44 @@ def test_input_that_is_not_utf8_gets_one_line(tmp_path, capsys, argv, code):
     assert err.count("\n") == 1
 
 
+def test_stats_reports_memory_error_of_a_kernel_thread(tmp_path, monkeypatch, capsys):
+    # The third membership test of the wedge steps fails: whichever thread
+    # runs it, the error reaches the caller once every thread has ended.
+    path = tmp_path / "edges.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in itertools.combinations(range(9), 2)))
+    monkeypatch.setattr(spectrum, "_WEDGE_CHUNK", 4)
+    is_key = spectrum._is_key
+
+    def failing():
+        calls = itertools.count(1)
+
+        def probe(queries, keys):
+            if next(calls) == 3:
+                raise MemoryError("probe table")
+            return is_key(queries, keys)
+        return probe
+
+    monkeypatch.setattr(spectrum, "_is_key", failing())
+    with pytest.raises(MemoryError, match="probe table"):
+        triangle_counts(read_edge_list(str(path)), threads=2)
+    monkeypatch.setattr(spectrum, "_is_key", failing())
+    monkeypatch.setattr(spectrum, "usable_cpus", lambda: 2)
+    code, out, err = run_main(["stats", "--edges", str(path)], capsys)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: out of memory: probe table\n"
+
+
 def test_stats_imports_no_scipy(tmp_path):
-    # The package runs on numpy alone, and `stats` starts no pool and writes
-    # no report, so it must not pay for those imports either.
+    # The package runs on numpy alone, and `stats` starts no pool, writes
+    # no report, reads no CSV and runs no quadrature, so it must not pay for
+    # those imports either.
     path = tmp_path / "edges.txt"
     path.write_text("0 1\n0 2\n1 2\n")
     script = ("import sys, rigclust.cli\n"
               f"code = rigclust.cli.main(['stats', '--edges', {str(path)!r}])\n"
               "print([m for m in sys.modules if m.split('.')[0] in ('scipy',"
-              " 'concurrent', 'multiprocessing', 'hashlib', 'json')], code)")
+              " 'concurrent', 'multiprocessing', 'hashlib', 'json', 'csv')"
+              " or m.split('.')[:2] == ['numpy', 'polynomial']], code)")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -344,13 +344,19 @@ def test_worker_pool_never_exceeds_replicates(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
+            iterables = [list(it) for it in iterables]
+            threads.append(iterables[2])
             return map(fn, *iterables)
 
+    threads = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    # Each worker's triangle counter gets its share of five CPUs.
+    monkeypatch.setattr("rigclust.experiment.usable_cpus", lambda: 5)
     for replicates, workers in ((2, 5000), (3, 2), (1, 8)):
         cfg = build_config(config_values(n=60, m=60, replicates=str(replicates)))
         assert len(simulate(cfg, workers=workers).spectra) == replicates
     assert sizes == [2, 2]
+    assert threads == [[2, 2], [2, 2, 2]]
     with pytest.raises(UsageError, match="workers must be >= 1"):
         simulate(build_config(config_values(n=60, m=60)), workers=0)
 

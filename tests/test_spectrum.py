@@ -2,6 +2,9 @@
 
 import io
 import itertools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -88,29 +91,94 @@ def test_triangle_counts_span_many_wedge_chunks(monkeypatch, chunk, mult):
     # A chunk of a few wedges splits one graph into many steps, and single
     # edges with more wedges than a chunk get a step of their own.  A hash
     # multiplier of 0 sends every key to one slot, so every probe that
-    # misses takes the binary search.
+    # misses takes the binary search.  Each thread count runs the steps on
+    # that many threads, whatever the host's CPUs.
     monkeypatch.setattr(spectrum, "_WEDGE_CHUNK", chunk)
     monkeypatch.setattr(spectrum, "_HASH_MULT", mult)
     rng = np.random.default_rng(99)
-    for _ in range(6):
-        g = random_graph(rng, int(rng.integers(8, 16)), float(rng.uniform(0.3, 0.9)))
-        assert np.array_equal(triangle_counts(g), triple_enumeration_counts(g))
-    assert np.array_equal(triangle_counts(complete_graph(9)), np.full(9, 28))
+    graphs = [random_graph(rng, int(rng.integers(8, 16)), float(rng.uniform(0.3, 0.9)))
+              for _ in range(6)]
+    for threads in (1, 2, 3):
+        for g in graphs:
+            assert np.array_equal(triangle_counts(g, threads), triple_enumeration_counts(g))
+        assert np.array_equal(triangle_counts(complete_graph(9), threads), np.full(9, 28))
 
 
-def test_triangle_counts_on_a_clique_union():
-    # Overlapping cliques: many triangles, and in one wedge chunk enough
-    # keys that several share a slot of the probe table.
-    rng = np.random.default_rng(2024)
-    n = 300
+def clique_union(seed, n, cliques):
+    rng = np.random.default_rng(seed)
     edges = []
-    for _ in range(120):
+    for _ in range(cliques):
         members = rng.choice(n, size=int(rng.integers(2, 14)), replace=False)
         edges.extend(itertools.combinations(members.tolist(), 2))
-    g = graph_of(n, edges)
+    return graph_of(n, edges)
+
+
+def intersection_counts(g):
     adj = adjacency_sets(g)
-    expect = [sum(len(adj[v] & adj[w]) for w in adj[v]) // 2 for v in range(n)]
-    assert np.array_equal(triangle_counts(g), expect)
+    return [sum(len(adj[v] & adj[w]) for w in adj[v]) // 2 for v in range(g.n)]
+
+
+def test_triangle_counts_on_a_clique_union(monkeypatch):
+    # Overlapping cliques: many triangles, and in one wedge chunk enough
+    # keys that several share a slot of the probe table.  A smaller chunk
+    # gives every thread count several steps.
+    g = clique_union(2024, 300, 120)
+    expect = intersection_counts(g)
+    assert np.array_equal(triangle_counts(g, 1), expect)
+    monkeypatch.setattr(spectrum, "_WEDGE_CHUNK", 3000)
+    for threads in (1, 2, 3):
+        assert np.array_equal(triangle_counts(g, threads), expect)
+
+
+def test_triangle_counts_threads_lose_no_update(monkeypatch):
+    # More threads than this host has cores, switching as often as the
+    # interpreter allows, over hundreds of steps: a corner added outside
+    # the lock, or a step taken twice or never, changes a count.
+    g = clique_union(7, 200, 150)
+    expect = intersection_counts(g)
+    monkeypatch.setattr(spectrum, "_WEDGE_CHUNK", 8 * 64)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: result.append(triangle_counts(g, 8)))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert np.array_equal(result[0], expect)
+
+
+def test_triangle_counts_start_no_more_threads_than_steps(monkeypatch):
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    # One step: the calling thread runs it alone.
+    assert np.array_equal(triangle_counts(complete_graph(9), 8), np.full(9, 28))
+    assert started == []
+    # A triangle's three oriented edges make 1 wedge and 4 units of work:
+    # a chunk of 16 // 8 = 2 cuts them into two steps.
+    monkeypatch.setattr(spectrum, "_WEDGE_CHUNK", 16)
+    assert np.array_equal(triangle_counts(complete_graph(3), 8), [1, 1, 1])
+    assert 0 < len(started) <= 2
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        triangle_counts(complete_graph(3), 0)
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert spectrum.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert spectrum.usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert spectrum.usable_cpus() == 1
 
 
 def test_triangle_counts_empty_graph():
