@@ -14,10 +14,9 @@ a config file that is not UTF-8), weight laws outside the theory's domain,
 or a quadrature that cannot reach ``tol``, 2 malformed data (also an edge
 list or CSV that is not UTF-8, a CSV field over the ``csv`` module's size
 limit, or a ``nan`` k for ``fit-delta``), 3 run too large: the edge budget
-aborted every replicate, or an allocation was refused, 4 a worker process of
-``simulate`` or ``compare`` died before returning its replicates (it was
-killed, for example by the out-of-memory killer).  ``simulate`` and
-``compare`` start at most one worker process per replicate.
+aborted every replicate, or an allocation was refused.  ``simulate`` and
+``compare`` run the replicates on at most ``--workers`` threads, and on at
+most one thread per replicate.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import sys
 from .experiment import (
     CONFIG_PARSERS,
     UsageError,
-    WorkerError,
     _bool,
     _location,
     build_config,
@@ -53,7 +51,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BUDGET = 3
-EXIT_WORKER = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,7 +167,7 @@ def _cmd_stats(args) -> int:
         graph = read_edge_list(args.edges)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {args.edges}: {exc}") from exc
-    if graph.n + graph.extra_isolated == 0:
+    if graph.n_edges == 0:
         print(f"warning: {args.edges} contains no edges", file=sys.stderr)
     spec = clustering_spectrum(graph)
     write_spectrum_csv(spec, args.out or sys.stdout)
@@ -237,9 +234,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except WorkerError as exc:
-        print(f"error: a worker process died: {exc}", file=sys.stderr)
-        return EXIT_WORKER
     except OSError as exc:
         # Any file error the subcommands did not wrap themselves: fail with a
         # clean line rather than a traceback.

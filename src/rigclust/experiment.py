@@ -37,14 +37,13 @@ from .graphgen import (
     project,
     sample_bipartite,
 )
-from .spectrum import (ClusteringSpectrum, clustering_spectrum, pool, usable_cpus,
-                       write_csv, write_spectrum_csv)
+from .spectrum import (ClusteringSpectrum, clustering_spectrum, pool, run_threads,
+                       usable_cpus, write_csv, write_spectrum_csv)
 from .theory import DEFAULT_K_MAX, pareto_delta, ratio_from_coefficient, theory_curve
 from .weights import Degenerate, Finite, ModelParams, Pareto, WeightLaw
 
 __all__ = [
     "UsageError",
-    "WorkerError",
     "ExperimentConfig",
     "CONFIG_PARSERS",
     "REPORT_COLUMNS",
@@ -74,10 +73,6 @@ CALIBRATION_NOTE = (
 
 class UsageError(ValueError):
     """Bad command line, config key, or config value."""
-
-
-class WorkerError(RuntimeError):
-    """A worker process died before returning its replicates."""
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +326,7 @@ def default_delta_window(pooled: ClusteringSpectrum,
 # Running experiments
 # ---------------------------------------------------------------------------
 
-def _one_replicate(config: ExperimentConfig, index: int, threads: int | None = None):
+def _one_replicate(config: ExperimentConfig, index: int, threads: int):
     seed = replicate_seed(config.master_seed, index)
     sample = sample_bipartite(config.params, seed, config.generator)
     try:
@@ -342,29 +337,19 @@ def _one_replicate(config: ExperimentConfig, index: int, threads: int | None = N
 
 
 def _pool_size(config: ExperimentConfig, workers: int) -> int:
-    """Processes to run the replicates in: never more than there are replicates."""
+    """Threads to run the replicates on: never more than there are replicates."""
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     return min(workers, config.replicates)
 
 
 def _run_replicates(config: ExperimentConfig, workers: int):
-    indices = range(config.replicates)
     workers = _pool_size(config, workers)
-    if workers == 1:
-        return [_one_replicate(config, i) for i in indices]
-    # Imported here, so a run in one process loads no pool machinery.
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-    # The workers split the CPUs among their triangle counters, so W workers
-    # never start W threads per CPU.
-    threads = [max(1, usable_cpus() // workers)] * config.replicates
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool_:
-            return list(pool_.map(_one_replicate, [config] * config.replicates, indices,
-                                  threads))
-    except BrokenExecutor as exc:
-        raise WorkerError(str(exc)) from exc
+    # The W replicate threads split the CPUs among their triangle counters,
+    # so they never start W counting threads per CPU.
+    share = max(1, usable_cpus() // workers)
+    return run_threads(lambda i: _one_replicate(config, i, share),
+                       range(config.replicates), workers)
 
 
 #: Columns of ``report.csv``, and the keys of each row of a report.

@@ -32,7 +32,9 @@ budget, each step taking ``_WEDGE_CHUNK // threads``, so the temporaries in
 flight stay within one chunk's bound; a step makes its wedges by gathers,
 which release the interpreter lock where ``np.repeat`` does not.  Every
 step adds its corners into one count array under a lock, so the counts are
-exact integers, the same on any number of threads.
+exact integers, the same on any number of threads.  :func:`run_threads`,
+which runs the steps, is the package's one thread runner: the replicates of
+:mod:`rigclust.experiment` run through it too.
 
 This module also owns the package's file formats: the 'u v' edge list
 (:func:`read_edge_list`, :func:`write_edge_list`) and every CSV table, which
@@ -60,6 +62,7 @@ __all__ = [
     "triangle_counts",
     "clustering_spectrum",
     "usable_cpus",
+    "run_threads",
     "pool",
     "read_edge_list",
     "write_edge_list",
@@ -122,6 +125,41 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def run_threads(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]`` on up to ``threads`` threads: the calling
+    thread and ``min(threads, len(items)) - 1`` helpers take the items from
+    one iterator under a lock.  Once ``fn`` raises, no thread takes another
+    item, and the first exception is raised once every thread has ended."""
+    items = list(items)
+    results = [None] * len(items)
+    todo = iter(enumerate(items))
+    take = threading.Lock()
+    errors = []
+
+    def work():
+        try:
+            while not errors:
+                with take:
+                    item = next(todo, None)
+                if item is None:
+                    return
+                i, x = item
+                results[i] = fn(x)
+        except BaseException as exc:  # raised in the calling thread below
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(threads, len(items)) - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def triangle_counts(g: ProjectedGraph, threads: int | None = None) -> np.ndarray:
     """Number of triangles through each vertex.
 
@@ -160,46 +198,28 @@ def triangle_counts(g: ProjectedGraph, threads: int | None = None) -> np.ndarray
     # The bounds come sorted; drop repeats without np.unique, which imports numpy.ma.
     bounds = np.concatenate(([0], cuts, [es.size]))
     bounds = bounds[np.flatnonzero(np.diff(bounds, prepend=-1))]
-    steps = iter(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    take, add = threading.Lock(), threading.Lock()
-    errors = []
+    add = threading.Lock()
 
-    def run_steps():
-        try:
-            while not errors:
-                with take:
-                    step = next(steps, None)
-                if step is None:
-                    return
-                a, b = step
-                size = per_edge[a:b]
-                stop = ends[a:b] - (ends[a - 1] if a else 0)  # wedge ends in the chunk
-                w = int(stop[-1])
-                # The chunk edge of each wedge, by gathers: np.repeat would
-                # hold the interpreter lock.
-                e = np.cumsum(np.bincount(stop[:-1], minlength=w)[:w])
-                x = ed[(out_ptr[ed[a:b]] + size - stop)[e] + np.arange(w)]
-                closing = (es[a:b] * np.int64(n))[e] + x
-                # Every closing key lies in the rows es[a]..es[b - 1]; the
-                # key just past them bounds the search.
-                rows = keys[out_ptr[es[a]]:out_ptr[es[b - 1] + 1] + 1]
-                hit = np.flatnonzero(_is_key(closing, rows))
-                edge = a + e[hit]
-                corners = np.concatenate([es[edge], ed[edge], x[hit]])
-                with add:
-                    np.add.at(counts, corners, 1)
-        except BaseException as exc:  # raised in the calling thread below
-            errors.append(exc)
+    def step(span):
+        a, b = span
+        size = per_edge[a:b]
+        stop = ends[a:b] - (ends[a - 1] if a else 0)  # wedge ends in the chunk
+        w = int(stop[-1])
+        # The chunk edge of each wedge, by gathers: np.repeat would hold the
+        # interpreter lock.
+        e = np.cumsum(np.bincount(stop[:-1], minlength=w)[:w])
+        x = ed[(out_ptr[ed[a:b]] + size - stop)[e] + np.arange(w)]
+        closing = (es[a:b] * np.int64(n))[e] + x
+        # Every closing key lies in the rows es[a]..es[b - 1]; the key just
+        # past them bounds the search.
+        rows = keys[out_ptr[es[a]]:out_ptr[es[b - 1] + 1] + 1]
+        hit = np.flatnonzero(_is_key(closing, rows))
+        edge = a + e[hit]
+        corners = np.concatenate([es[edge], ed[edge], x[hit]])
+        with add:
+            np.add.at(counts, corners, 1)
 
-    helpers = [threading.Thread(target=run_steps)
-               for _ in range(min(threads, bounds.size - 1) - 1)]
-    for t in helpers:
-        t.start()
-    run_steps()
-    for t in helpers:
-        t.join()
-    if errors:
-        raise errors[0]
+    run_threads(step, zip(bounds[:-1].tolist(), bounds[1:].tolist()), threads)
     return counts
 
 

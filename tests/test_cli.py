@@ -5,10 +5,10 @@ import json
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import rigclust.experiment as experiment
 import rigclust.spectrum as spectrum
 from rigclust import read_edge_list, triangle_counts
 from rigclust.cli import (
@@ -16,7 +16,6 @@ from rigclust.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
-    EXIT_WORKER,
     _build_parser,
     _config_from_args,
     main,
@@ -221,31 +220,22 @@ def test_zero_workers_exit_one(tmp_path, capsys, monkeypatch, command):
     assert err == "error: workers must be >= 1, got 0\n"
 
 
-class KilledPool:
-    """Stands in for ProcessPoolExecutor: a worker died, no process starts."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, *args):
-        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
-
-
 @pytest.mark.parametrize("command", ["simulate", "compare"])
-def test_killed_worker_exit_four(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", KilledPool)
+def test_memory_error_of_a_replicate_thread_exits_three(tmp_path, capsys, monkeypatch,
+                                                        command):
+    one_replicate = experiment._one_replicate
+
+    def failing(config, index, threads):
+        if index == 1:
+            raise MemoryError("replicate 1")
+        return one_replicate(config, index, threads)
+
+    monkeypatch.setattr(experiment, "_one_replicate", failing)
     code, out, err = run_main(
         [command, *BASE, "--replicates", "2", "--workers", "2", "--k-max", "6",
          "--output-dir", str(tmp_path / "out")], capsys)
-    assert code == EXIT_WORKER and out == ""
-    assert err == ("error: a worker process died: "
-                   "A process in the process pool was terminated abruptly\n")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: out of memory: replicate 1\n"
 
 
 def test_compare_requires_output_dir(capsys):
@@ -381,6 +371,16 @@ def test_stats_prints_spectrum(tmp_path, capsys):
     assert "3,1,1,3,0.3333333333333333" in out
 
 
+@pytest.mark.parametrize("text", ["", "3 3\n5 5\n"], ids=["empty", "loops-only"])
+def test_stats_warns_on_a_graph_without_edges(tmp_path, capsys, text):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    code, out, err = run_main(["stats", "--edges", str(path)], capsys)
+    assert code == EXIT_OK
+    assert out == "k,n_vertices,tri_sum,cherry_sum,c_k,cum_tri,cum_cherry,C_k\n"
+    assert err == f"warning: {path} contains no edges\n"
+
+
 def test_stats_malformed_edges(tmp_path, capsys):
     path = tmp_path / "edges.txt"
     path.write_text("0 1\noops\n")
@@ -462,12 +462,14 @@ def test_stats_imports_no_scipy(tmp_path):
     ["theory", *BASE, "--k-min", "3", "--k-max", "6"],
     ["compare", *BASE, "--k-min", "3", "--k-max", "6", "--replicates", "2",
      "--workers", "1", "--output-dir", "{out}"],
-], ids=["theory", "compare"])
+    ["compare", *BASE, "--k-min", "3", "--k-max", "6", "--replicates", "2",
+     "--workers", "2", "--output-dir", "{out}"],
+], ids=["theory", "compare", "compare-two-workers"])
 def test_theory_and_compare_import_no_scipy(argv, tmp_path):
     # The theory is numpy-only, no command dedupes with np.unique, which
     # imports numpy.ma, and runinfo.json reads no package metadata.  `theory`
-    # starts no pool and writes no report; `compare` with one worker writes
-    # a report but starts no pool.
+    # writes no report; `compare` writes a report, and with two workers it
+    # runs its replicates on threads, so it starts no process pool.
     argv = [a.format(out=tmp_path / "out") for a in argv]
     unused = ["scipy", "concurrent", "multiprocessing"]
     if argv[0] == "theory":

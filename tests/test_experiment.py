@@ -2,10 +2,12 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import rigclust.experiment as experiment
 from rigclust import (
     ClusteringSpectrum,
     Degenerate,
@@ -317,8 +319,9 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_worker_count_does_not_change_reports(tmp_path):
+    # Three workers is more than some machines have CPUs.
     texts = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}"
         cfg = build_config(config_values(
             n=150, m=150, replicates="3", k_max="8", output_dir=str(out)))
@@ -326,37 +329,35 @@ def test_worker_count_does_not_change_reports(tmp_path):
         assert report.workers == workers
         texts.append((out / "report.csv").read_bytes()
                      + (out / "report.json").read_bytes())
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_worker_pool_never_exceeds_replicates(monkeypatch):
-    sizes = []
+    helpers, shares = [], []
 
-    class RecordingPool:
-        # Starts no process: records the pool size and maps in this one.
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class CountingThread(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            helpers[-1] += 1
+            super().__init__(*args, **kwargs)
 
-        def __enter__(self):
-            return self
+    one_replicate = experiment._one_replicate
 
-        def __exit__(self, *exc):
-            return False
+    def recording(config, index, threads):
+        shares[-1].append(threads)
+        return one_replicate(config, index, threads)
 
-        def map(self, fn, *iterables):
-            iterables = [list(it) for it in iterables]
-            threads.append(iterables[2])
-            return map(fn, *iterables)
-
-    threads = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    # Each worker's triangle counter gets its share of five CPUs.
-    monkeypatch.setattr("rigclust.experiment.usable_cpus", lambda: 5)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    monkeypatch.setattr(experiment, "_one_replicate", recording)
+    # Each replicate's triangle counter gets its share of five CPUs; a graph
+    # this small is counted in one step, so only replicate threads start.
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 5)
     for replicates, workers in ((2, 5000), (3, 2), (1, 8)):
+        helpers.append(0)
+        shares.append([])
         cfg = build_config(config_values(n=60, m=60, replicates=str(replicates)))
         assert len(simulate(cfg, workers=workers).spectra) == replicates
-    assert sizes == [2, 2]
-    assert threads == [[2, 2], [2, 2, 2]]
+    assert helpers == [1, 1, 0]
+    assert shares == [[2, 2], [2, 2, 2], [5]]
     with pytest.raises(UsageError, match="workers must be >= 1"):
         simulate(build_config(config_values(n=60, m=60)), workers=0)
 

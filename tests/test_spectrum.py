@@ -5,6 +5,7 @@ import itertools
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -130,6 +131,20 @@ def test_triangle_counts_on_a_clique_union(monkeypatch):
         assert np.array_equal(triangle_counts(g, threads), expect)
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs, in start order."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    return started
+
+
 def test_triangle_counts_threads_lose_no_update(monkeypatch):
     # More threads than this host has cores, switching as often as the
     # interpreter allows, over hundreds of steps: a corner added outside
@@ -150,15 +165,7 @@ def test_triangle_counts_threads_lose_no_update(monkeypatch):
     assert np.array_equal(result[0], expect)
 
 
-def test_triangle_counts_start_no_more_threads_than_steps(monkeypatch):
-    started = []
-
-    class CountingThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", CountingThread)
+def test_triangle_counts_start_no_more_threads_than_steps(monkeypatch, started):
     # One step: the calling thread runs it alone.
     assert np.array_equal(triangle_counts(complete_graph(9), 8), np.full(9, 28))
     assert started == []
@@ -179,6 +186,52 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     assert spectrum.usable_cpus() == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert spectrum.usable_cpus() == 1
+
+
+def test_run_threads_returns_results_in_item_order():
+    # Later items finish first, so completion order is not item order.
+    def square(x):
+        time.sleep((8 - x) * 0.005)
+        return x * x
+
+    for threads in (1, 3, 8, 20):
+        assert spectrum.run_threads(square, range(8), threads) == [x * x for x in range(8)]
+    assert spectrum.run_threads(square, [], 4) == []
+
+
+def test_run_threads_starts_one_helper_fewer_than_it_uses(started):
+    for threads, items, helpers in ((3, 5, 2), (8, 2, 1), (4, 1, 0), (1, 6, 0), (4, 0, 0)):
+        started.clear()
+        assert spectrum.run_threads(str, range(items), threads) == list(map(str, range(items)))
+        assert len(started) == helpers
+        for t in started:
+            t.join(timeout=60)
+            assert not t.is_alive()
+
+
+def test_run_threads_raises_the_first_error_after_every_thread_ends(started):
+    # The barrier holds the first three items on three threads until all are
+    # taken.  "fast" fails at once; "ok" ends 0.3 s later and, seeing the
+    # error, takes no other item; "slow" fails 0.6 s later, and its error is
+    # not the one raised, but it has ended when the call returns.
+    ended = []
+    barrier = threading.Barrier(3)
+
+    def fn(x):
+        if x == "never":
+            ended.append(x)
+            return x
+        barrier.wait(timeout=60)
+        time.sleep({"fast": 0.0, "ok": 0.3, "slow": 0.6}[x])
+        ended.append(x)
+        if x != "ok":
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(ValueError, match="fast"):
+        spectrum.run_threads(fn, ["slow", "fast", "ok", "never"], 3)
+    assert ended == ["fast", "ok", "slow"]
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
 
 
 def test_triangle_counts_empty_graph():
