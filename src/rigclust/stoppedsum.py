@@ -2,25 +2,19 @@
 
 The limiting degree of an actor is a sum of a random number of independent
 offspring counts: ``d = sum_{j <= N} tau_j`` with the count ``N`` independent
-of the i.i.d. summands.  This module evaluates such compound laws by the
-direct mixture-of-convolution-powers loop
+of the i.i.d. summands.  With the count truncated where its remaining
+probability drops below ``tol``, its law is a polynomial in ``tau``,
 
-    P(d = s) = sum_i P(N = i) * tau^{*i}(s),
+    P(d = s) = sum_{j <= n} P(N = j) * tau^{*j}(s),
 
-truncating the count where its remaining probability drops below ``tol`` and
-pushing every neglected or out-of-grid contribution into the tail bound, so
-the result is a valid :class:`~rigclust.mixedpoisson.Pmf` whose tail interval
-is honest; ``tail_lo`` gets only mass known to lie past the grid.  The loop
-stops as soon as no later term can change a bit of the accumulated pmf, which
-on a wide grid comes long before the count runs out; each convolution is a
-single C-level ``numpy.convolve``.
-
-The powers ``tau^{*i}`` depend on the summand alone, so
-:func:`pmf_stopped_sums` evaluates several counts over one summand with one
-power sequence (``theory.LimitLaws`` makes one call for both degree laws).
-The sequence runs until the last count still running stops.  Every count
-keeps its own truncation, early stop and order of additions, so each mass and
-tail is bit for bit what the count gets alone.
+evaluated here by blocks (Paterson & Stockmeyer 1973, SIAM J. Comput. 2(1)):
+baby steps ``tau^{*0..B}``, shared by every count over one summand, then
+Horner in ``tau^{*B}``, about ``B + n / B`` convolutions in place of ``n``.
+Nothing cancels, and cutting a partial product at the grid drops only mass
+that stays past it.  Every neglected or out-of-grid contribution joins the
+tail bound, so the result is a valid :class:`~rigclust.mixedpoisson.Pmf`
+whose tail interval is honest; ``tail_lo`` gets only mass known to lie past
+the grid.
 """
 
 from __future__ import annotations
@@ -38,6 +32,11 @@ __all__ = [
 ]
 
 
+#: Block size B, fixed so that a count's bits do not depend on where its grid
+#: cuts it; B + n / B is within 25 % of the best, 2 sqrt(n), for n in 250..4000.
+_BLOCK = 32
+
+
 @dataclass(frozen=True)
 class StoppedSumSpec:
     """Count law plus summand law for a randomly stopped sum."""
@@ -51,11 +50,6 @@ def _pmf(mass: np.ndarray, tail: float, lo: float) -> Pmf:
     zero nor above the grid deficit, the lower one in [0, upper]."""
     tail = min(max(tail, 0.0), max(1.0 - math.fsum(mass), 0.0))
     return Pmf(mass, tail, min(max(lo, 0.0), tail))
-
-
-def _located(p: Pmf, k_max: int) -> float:
-    """P(value > k_max) >= ``tail_lo`` if the grid reaches ``k_max``."""
-    return p.tail_lo if p.k_max >= k_max else 0.0
 
 
 def _convolve_raw(p: np.ndarray, q: np.ndarray, k_max: int) -> tuple[np.ndarray, float]:
@@ -84,25 +78,30 @@ def convolve(p: Pmf, q: Pmf, k_max: int | None = None) -> Pmf:
     if k_max is None:
         k_max = p.k_max + q.k_max
     mass, pushed = _convolve_raw(p.mass, q.mass, k_max)
-    lo_p, lo_q = _located(p, k_max), _located(q, k_max)
+    # A draw is known to lie past k_max only if its grid reaches k_max.
+    lo_p, lo_q = (x.tail_lo if x.k_max >= k_max else 0.0 for x in (p, q))
     return _pmf(mass, p.tail_mass + q.tail_mass + pushed, lo_p + lo_q - lo_p * lo_q + pushed)
 
 
-class _Count:
-    """One count of a shared stopped-sum loop: its truncation and running sums."""
+def _truncation(count: Pmf, tol: float) -> tuple[int, float]:
+    """The first n with P(N > n) + ``count.tail_mass`` < tol (else the last
+    grid point), and the grid mass P(n < N <= count.k_max) left out."""
+    suffix = np.concatenate([np.cumsum(count.mass[::-1])[::-1], [0.0]])
+    below = np.flatnonzero(suffix[1:] + count.tail_mass < tol)
+    n = int(below[0]) if below.size else count.mass.size - 1
+    return n, float(suffix[n + 1])
 
-    def __init__(self, count: Pmf, k_max: int, tol: float):
-        # Remaining count probability after each i: suffix sums + the count's
-        # own tail bound.
-        suffix = np.concatenate([np.cumsum(count.mass[::-1])[::-1], [0.0]])
-        below = np.flatnonzero(suffix[1:] + count.tail_mass < tol)
-        self.n_cut = int(below[0]) if below.size else count.mass.size - 1
-        self.weights = count.mass
-        self.within = np.cumsum(count.mass[self.n_cut::-1])[::-1]  # P(i <= N <= n_cut)
-        self.acc = np.zeros(k_max + 1)
-        self.acc[0] = count.mass[0]  # the empty sum
-        self.acc_tail = float(suffix[self.n_cut + 1]) + count.tail_mass
-        self.at_least, self.acc_lo = suffix + count.tail_lo, 0.0  # P(N >= i) >= at_least[i]
+
+def _power_lo(powers: list[Pmf], n: int, k_max: int) -> float:
+    """Lower bound on P(S_n > k_max): ``tail_lo`` of tau^{*(n mod B)} times
+    G^{*(n div B)}, the power of G = ``powers[-1]`` made by squaring."""
+    power, base, q = powers[n % _BLOCK], powers[-1], n // _BLOCK
+    while q:
+        if q & 1:
+            power = convolve(power, base, k_max)
+        q >>= 1
+        base = convolve(base, base, k_max) if q else base
+    return power.tail_lo
 
 
 def pmf_stopped_sums(counts: Sequence[Pmf], summand: Pmf, k_max: int,
@@ -110,79 +109,72 @@ def pmf_stopped_sums(counts: Sequence[Pmf], summand: Pmf, k_max: int,
     """Pmfs of ``sum_{j <= N} tau_j`` for each count law ``N`` in ``counts``
     and one summand law ``tau``, all on the grid ``0..k_max``.
 
-    The counts share one sequence of convolution powers tau^{*i}, which runs
-    until the last count still running stops.  Each count keeps its own
-    truncation, early stop and order of additions, so each pmf is bit for bit
-    the one :func:`pmf_stopped_sum` gives for its count alone.
+    Each count is truncated at the first n with P(N > n) + ``count.tail_mass``
+    < tol and summed by Horner in G = tau^{*B} over blocks of B weights:
 
-    ``tail_lo`` sums P(N >= i) times the growth of each power's lower bound
-    on P(S_i > k_max), grown as in :func:`convolve`.  Summed by parts, that
-    counts each term j left out (stopped, truncated or past the count's grid)
-    with the bound of the last power made, S_{i-1} <= S_j.
+        acc <- cut(acc * G) + sum_i w_{bB+i} tau^{*i}.
+
+    The counts share the baby steps tau^{*0..B} and nothing else, so each
+    pmf is bit for bit the one :func:`pmf_stopped_sum` gives for its count
+    alone.  ``tail_mass`` adds, per Horner step, W * G.tail_mass plus the mass
+    pushed past the grid, with W the count weight in ``acc``; per block, its
+    weights times the tails of its powers; and the truncated count mass and
+    the count's tail.  ``tail_lo`` applies :func:`convolve`'s rule to each
+    Horner step and block, and locates the count mass left out with the
+    bound of tau^{*n}.
     """
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    states = [_Count(count, k_max, tol) for count in counts]
+    cuts = [_truncation(count, tol) for count in counts]
+    powers = [Pmf.point(0, k_max)]
+    while len(powers) <= min(_BLOCK, max((n for n, _ in cuts), default=0)):
+        powers.append(convolve(powers[-1], summand, k_max))
+    baby = np.stack([p.mass for p in powers[:_BLOCK]])
+    bounds = np.array([(p.tail_mass, p.tail_lo) for p in powers[:_BLOCK]])
 
-    power = np.zeros(k_max + 1)
-    power[0] = 1.0
-    power_tail = power_lo = 0.0  # power_lo <= P(S_i > k_max)
-    summand_lo = _located(summand, k_max)
-    running = [state for state in states if state.n_cut >= 1]
-    i = 1
-    while running:
-        # Each later addition w_j * tau^{*j}[s] is at most within[i] * grid:
-        # summands are >= 0 and sum(tau) <= 1, so the grid mass of the powers
-        # never grows.  acc only grows, so its spacing does too, and
-        # fl(a + x) = a for 0 <= x < ulp(a)/2: every skipped addition would
-        # be a no-op.  The factor 0.25 absorbs rounding in the product and the
-        # 1e-9 normalization slack of Pmf.  A zero in acc has spacing 5e-324,
-        # so the stop cannot fire while one remains.  The skipped tail terms
-        # sum to at most within[i] * (power_tail + (n_cut - i + 1) * summand
-        # tail + grid): the mass pushed off the grid telescopes to <= grid.
-        grid = float(power.sum()) * (1 + 1e-12)
-        going = []
-        for state in running:
-            later = float(state.within[i])
-            if later * grid < 0.25 * np.spacing(state.acc).min():
-                state.acc_tail += later * (power_tail + (state.n_cut - i + 1)
-                                           * summand.tail_mass + grid)
-            else:
-                going.append(state)
-        if not going:
-            break
-        power, pushed = _convolve_raw(power, summand.mass, k_max)
-        power_tail += summand.tail_mass + pushed
-        step = summand_lo * (1.0 - power_lo) + pushed
-        power_lo += step
-        for state in going:
-            state.acc_lo += state.at_least[i] * step
-            w = state.weights[i]
-            if w != 0.0:
-                state.acc += w * power
-                state.acc_tail += w * power_tail
-        running = [state for state in going if state.n_cut > i]
-        i += 1
-    return [_pmf(state.acc, state.acc_tail, state.acc_lo) for state in states]
+    out = []
+    for count, (n, rest) in zip(counts, cuts):
+        acc = np.zeros(k_max + 1)
+        weight = hi = lo = 0.0  # count weight in acc, bounds on its mass past k_max
+        top = n - n % _BLOCK
+        for start in range(top, -1, -_BLOCK):
+            if start < top:
+                # acc holds terms w_j X_j, X_j = S_{j-start-B}, each added to
+                # an independent Y ~ G.  X_j + Y > k_max if X_j or Y is past
+                # k_max, with chance at least lo_j + lo_G - lo_j lo_G as in
+                # convolve, or if both are on the grid and the sum is pushed
+                # past it.  Linear in lo_j, over the terms that is
+                # lo + (W - lo) lo_G, plus the pushed mass.
+                G = powers[_BLOCK]
+                acc, pushed = _convolve_raw(acc, G.mass, k_max)
+                hi += weight * G.tail_mass + pushed
+                lo += (weight - lo) * G.tail_lo + pushed
+            w = count.mass[start:min(start + _BLOCK, n + 1)]
+            # A row sum, not a matrix product: each entry adds its terms in
+            # the same order on every grid, which BLAS does not promise.
+            acc += (w[:, None] * baby[:w.size]).sum(axis=0)
+            weight += float(w.sum())
+            block_hi, block_lo = w @ bounds[:w.size]
+            hi, lo = hi + block_hi, lo + block_lo
+        hi += rest + count.tail_mass
+        # Every count value left out, truncated or past the count's grid, is
+        # m > n, and S_m >= S_n: P(S_m > k_max) >= P(S_n > k_max).
+        located = rest + count.tail_lo
+        if located > 0.0:
+            lo += located * _power_lo(powers, n, k_max)
+        out.append(_pmf(acc, hi, lo))
+    return out
 
 
 def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
                     tol: float = 1e-10) -> Pmf:
     """Pmf of ``sum_{j <= N} tau_j`` for ``N ~ spec.count``, ``tau ~ spec.summand``.
 
-    The count is truncated at the smallest i with P(N > i) < tol; the remaining
-    count probability joins the tail bound, as do the summand tail bounds
-    (i per convolution power) and any convolution mass beyond the grid.
-
-    The loop stops before term i once P(i <= N <= n_cut) * G is below a
-    quarter of the smallest spacing of the accumulated pmf, with G the grid
-    mass of tau^{*(i-1)}; no later addition could then change a bit, so the
-    mass is the one the full loop gives.  The skipped terms add
-    P(i <= N <= n_cut) * (tail of tau^{*(i-1)} + (n_cut - i + 1) * summand
-    tail + G) to the tail bound, an upper bound on what the full loop adds.
-
-    The default grid covers the full sum support ``count.k_max *
-    summand.k_max``, as in :func:`convolve`.  This is the one-count case of
+    The count is truncated at the smallest i with P(N > i) + ``count.tail_mass``
+    < tol; the remaining count probability joins the tail bound, as do the
+    summand tail bounds and any convolution mass beyond the grid.  The
+    default grid covers the full sum support ``count.k_max * summand.k_max``,
+    as in :func:`convolve`.  This is the one-count case of
     :func:`pmf_stopped_sums`.
     """
     count, summand = spec.count, spec.summand

@@ -109,8 +109,9 @@ class LimitLaws:
     the order-3 attribute law) and open-route law (order-2 count stopped sum
     plus two order-2 attribute laws).  The offspring law ``tau`` of both
     stopped sums is the order-1 attribute law, so one lockstep quadrature
-    gives ``tau``, ``lam2`` and ``lam3`` and another the two counts.  The
-    caller decides the grid ``k_max`` of the sums and the route laws (see
+    gives ``tau``, ``lam2`` and ``lam3`` and another the two counts, and the
+    two stopped sums share their baby steps ``tau^{*0..32}``.  The caller
+    decides the grid ``k_max`` of the sums and the route laws (see
     :func:`adaptive_limit_laws`); what falls beyond it is between ``tail_lo``
     and ``tail_mass``.  The counts run on a longer grid, on which the sum of
     that many ``tau`` has mean at least ``2 * k_max``: a count past their
@@ -126,7 +127,7 @@ class LimitLaws:
         self.k_max = int(k_max)
         self.tol = float(tol)
 
-        # One lockstep quadrature per weight side, one power sequence of tau.
+        # One lockstep quadrature per weight side, one set of baby steps of tau.
         attribute = [mixing_spec(params, "attribute", r) for r in (1, 2, 3)]
         self.tau, self.lam2, self.lam3 = pmf_mixed_poissons(attribute, self.k_max, tol)
         mean_tau = attribute[0].scale * params.a(2) / params.a(1)
@@ -265,6 +266,12 @@ def _attribute_tail_constant(params: ModelParams, r: int) -> tuple[float, float]
     return const, r - alpha
 
 
+def _positive(k: float) -> float:
+    if not float(k) > 0:  # the power laws below have no value at k <= 0
+        raise ValueError(f"tail asymptotics need k > 0, got {k}")
+    return float(k)
+
+
 def degree_tail_asymptotic(params: ModelParams, r: int, k: float) -> float:
     """Closed-form tail approximation P(D_r >= k) for Pareto laws.
 
@@ -272,13 +279,13 @@ def degree_tail_asymptotic(params: ModelParams, r: int, k: float) -> float:
     count exceeds k / E[offspring], which produces the constants below.
     """
     const, exp = _degree_tail_constant(params, r)
-    return const * float(k) ** exp
+    return const * _positive(k) ** exp
 
 
 def attribute_tail_asymptotic(params: ModelParams, r: int, k: float) -> float:
     """Closed-form tail approximation P(L_r >= k) for a Pareto attribute law."""
     const, exp = _attribute_tail_constant(params, r)
-    return const * float(k) ** exp
+    return const * _positive(k) ** exp
 
 
 def _leading(terms: list[tuple[float, float]]) -> tuple[float, float]:
@@ -307,7 +314,7 @@ def tail_weight_asymptotics(params: ModelParams, k: float) -> tuple[float, float
     """
     ca, ea = _leading(_closed_tail_terms(params))
     cb, eb = _leading(_open_tail_terms(params))
-    return ca * float(k) ** ea, cb * float(k) ** eb
+    return ca * _positive(k) ** ea, cb * _positive(k) ** eb
 
 
 def tail_ratio_constant(params: ModelParams) -> float:
@@ -373,7 +380,8 @@ def _curve_rows(laws: LimitLaws, ks: list[int]) -> list[TheoryRow]:
     A row is numeric while its degree is on the grid, no earlier row is
     asymptotic and, for a Pareto pair, both tail intervals are tight.  Past
     that a Pareto pair gets the closed forms; any other pair has no honest
-    prediction there and gets no row.
+    prediction there and gets no row.  Nor does k = 2, whose shifted
+    argument 0 is outside the closed forms.
     """
     params = laws.params
     pareto = is_pareto_pair(params)
@@ -388,7 +396,7 @@ def _curve_rows(laws: LimitLaws, ks: list[int]) -> list[TheoryRow]:
         if numeric:
             rows.append(TheoryRow(k, a, b, A, B, _c_from_weights(params.beta, a, b),
                                   _C_from_tails(params.beta, A, B), False))
-        elif pareto:
+        elif pareto and k > 2:
             # Evaluate the closed forms at the same shifted argument k - 2.
             ta, tb = tail_weight_asymptotics(params, k - 2)
             A = Interval(pa * ta, pa * ta)

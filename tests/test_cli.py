@@ -70,6 +70,29 @@ def test_theory_reads_config_file_with_flag_overrides(tmp_path, capsys):
     assert [line.split(",")[0] for line in out.strip().split("\n")] == ["k", "2", "3"]
 
 
+@pytest.mark.parametrize("command", ["theory", "compare"])
+@pytest.mark.parametrize("flags", [["--beta", "1", "--tol", "0.5"], ["--beta", "1e10"]],
+                         ids=["tol=0.5", "beta=1e10"])
+def test_loose_degree_two_row_is_left_out(tmp_path, capsys, command, flags):
+    # Both make the k = 2 intervals loose; the closed forms have no value at
+    # k - 2 = 0, so k = 2 gets no prediction and 3..5 the asymptotic ones.
+    out_dir = tmp_path / "out"
+    code, out, err = run_main(
+        [command, "--n", "300", "--m", "300", *flags, "--x-law", "pareto(1,7)",
+         "--y-law", "pareto(1,6)", "--k-min", "2", "--k-max", "5",
+         "--replicates", "2", "--output-dir", str(out_dir)], capsys)
+    assert code == EXIT_OK and "Traceback" not in err
+    if command == "theory":
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["3", "4", "5"]
+        assert all(row[7] == "" and row[8] != "" for row in rows)  # no c_pred, a C_pred
+    else:
+        report = (out_dir / "report.csv").read_text().strip().split("\n")
+        two, three = report[1].split(","), report[2].split(",")
+        assert two[0] == "2" and two[6:9] == ["", "", ""]
+        assert three[0] == "3" and three[7] != ""
+
+
 # ---------------------------------------------------------------------------
 # simulate / compare
 # ---------------------------------------------------------------------------

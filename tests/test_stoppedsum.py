@@ -8,6 +8,7 @@ from scipy.stats import poisson
 
 from rigclust import (
     Degenerate,
+    LimitLaws,
     MixingSpec,
     ModelParams,
     Pmf,
@@ -16,6 +17,7 @@ from rigclust import (
     mixing_spec,
     parse_law,
     pmf_mixed_poisson,
+    pmf_mixed_poissons,
     pmf_offspring,
     pmf_stopped_sum,
     pmf_stopped_sums,
@@ -45,8 +47,9 @@ def brute_stopped_sum(count: Pmf, summand: Pmf, k_max: int) -> np.ndarray:
 
 
 def _full_loop(count: Pmf, summand: Pmf, k_max: int, tol: float) -> Pmf:
-    """pmf_stopped_sum without the early stop: every count term up to the
-    truncation point is convolved and added."""
+    """The stopped sum term by term: every count term up to the truncation
+    point is convolved and added, and each term's tail bounds are its own
+    power's, grown as in convolve; the count left out gets the last one."""
     suffix = np.concatenate([np.cumsum(count.mass[::-1])[::-1], [0.0]])
     n_cut = count.mass.size - 1
     for i in range(n_cut + 1):
@@ -58,15 +61,19 @@ def _full_loop(count: Pmf, summand: Pmf, k_max: int, tol: float) -> Pmf:
     acc_tail = float(suffix[n_cut + 1]) + count.tail_mass
     power = np.zeros(k_max + 1)
     power[0] = 1.0
-    power_tail = 0.0
+    power_tail = power_lo = acc_lo = 0.0
+    summand_lo = summand.tail_lo if summand.k_max >= k_max else 0.0
     for i in range(1, n_cut + 1):
         power, pushed = stoppedsum._convolve_raw(power, summand.mass, k_max)
         power_tail += summand.tail_mass + pushed
+        power_lo += summand_lo * (1.0 - power_lo) + pushed
         w = count.mass[i]
         if w != 0.0:
             acc += w * power
             acc_tail += w * power_tail
-    return stoppedsum._pmf(acc, acc_tail, 0.0)
+            acc_lo += w * power_lo
+    acc_lo += (float(suffix[n_cut + 1]) + count.tail_lo) * power_lo
+    return stoppedsum._pmf(acc, acc_tail, acc_lo)
 
 
 def law_pair(x_law: str, y_law: str) -> ModelParams:
@@ -246,12 +253,22 @@ def test_count_truncation_goes_to_tail():
 
 def test_count_past_its_grid_is_located_by_the_last_power():
     # N has mass 0.2 past its grid 0..9 and tau = 2, so d = 2N > 10 exactly
-    # when N >= 6.  The loop adds terms 6..9; the terms past the count grid
+    # when N >= 6.  The sum holds terms 6..9; the terms past the count grid
     # are left out, but S_j >= S_9 > 10 puts their mass past the grid too.
     count = Pmf(np.full(10, 0.08), tail_mass=0.2, tail_lo=0.2)
     res = pmf_stopped_sum(StoppedSumSpec(count, Pmf.point(2)), k_max=10)
     assert res.tail_lo == pytest.approx(4 * 0.08 + 0.2, rel=1e-14)
     assert res.tail_mass == pytest.approx(4 * 0.08 + 0.2, rel=1e-14)
+
+
+def test_count_past_its_grid_is_located_by_the_last_power_of_several_blocks():
+    # The same on a count grid of 0..99, four blocks: d = 2N > 150 exactly
+    # when N >= 76, and S_99 = tau^{*3} G^{*3} locates the mass past the
+    # count grid; without that bound tail_lo would read 24 * 0.008 alone.
+    count = Pmf(np.full(100, 0.008), tail_mass=0.2, tail_lo=0.2)
+    res = pmf_stopped_sum(StoppedSumSpec(count, Pmf.point(2)), k_max=150)
+    assert res.tail_lo == pytest.approx(24 * 0.008 + 0.2, rel=1e-14)
+    assert res.tail_mass == pytest.approx(24 * 0.008 + 0.2, rel=1e-14)
 
 
 def test_truncated_count_mass_on_the_grid_stays_out_of_tail_lo():
@@ -269,50 +286,101 @@ def off_grid(full: np.ndarray, k_max: int) -> Pmf:
     return Pmf(full[:k_max + 1], rest, rest)
 
 
-@pytest.mark.parametrize("k_count, k_summand, k_max, tol", [
-    (10, 3, 20, 1e-10), (29, 5, 40, 1e-3), (8, 4, 4, 1e-10), (20, 5, 12, 1e-6)])
-def test_stopped_sum_tail_bounds_bracket_brute_force(k_count, k_summand, k_max, tol):
+def assert_bounds_bracket_brute_force(rng, count_size, summand_size, k_count, k_summand,
+                                      k_max, tol):
     # Laws cut from longer ones: the true mass past k_max comes from the
-    # full laws, and the bounds must hold it whatever the truncation and
-    # early stop leave out.
-    rng = np.random.default_rng(17)
+    # full laws, and the bounds must hold it whatever the truncation leaves
+    # out.
     for _ in range(5):
-        count_full = rng.dirichlet(np.ones(30))
-        summand_full = rng.dirichlet(np.ones(6))
-        exact = brute_stopped_sum(Pmf(count_full), Pmf(summand_full), 200)
-        res = pmf_stopped_sum(StoppedSumSpec(off_grid(count_full, k_count),
-                                             off_grid(summand_full, k_summand)), k_max, tol)
+        count_full = rng.dirichlet(np.ones(count_size))
+        summand_full = rng.dirichlet(np.ones(summand_size))
+        top = max(200, (count_size - 1) * (summand_size - 1))
+        exact = brute_stopped_sum(Pmf(count_full), Pmf(summand_full), top)
+        count, summand = off_grid(count_full, k_count), off_grid(summand_full, k_summand)
+        res = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max, tol)
         beyond = math.fsum(exact[k_max + 1:])
         assert res.tail_lo <= beyond * (1 + 1e-12) + 1e-15
         assert beyond <= res.tail_mass * (1 + 1e-12) + 1e-15
         assert res.tail_lo > 0.0
+        assert_matches_full_loop(res, count, summand, k_max, tol)
+
+
+@pytest.mark.parametrize("k_count, k_summand, k_max, tol", [
+    (10, 3, 20, 1e-10), (29, 5, 40, 1e-3), (8, 4, 4, 1e-10), (20, 5, 12, 1e-6)])
+def test_stopped_sum_tail_bounds_bracket_brute_force(k_count, k_summand, k_max, tol):
+    assert_bounds_bracket_brute_force(np.random.default_rng(17), 30, 6,
+                                      k_count, k_summand, k_max, tol)
+
+
+@pytest.mark.parametrize("k_count, k_summand, k_max, tol", [
+    (100, 3, 40, 1e-10), (100, 5, 150, 1e-10), (300, 4, 200, 1e-6),
+    (250, 5, 60, 1e-3), (70, 2, 90, 1e-12)])
+def test_tail_bounds_over_several_blocks_bracket_brute_force(k_count, k_summand, k_max, tol):
+    # Count grids of 71 to 301 entries take Horner steps, and each count
+    # ends inside a block; the full laws are 40 and 3 entries longer than
+    # their grids.
+    assert_bounds_bracket_brute_force(np.random.default_rng(17), k_count + 41, k_summand + 4,
+                                      k_count, k_summand, k_max, tol)
 
 
 # ---------------------------------------------------------------------------
-# pmf_stopped_sum: the early stop against the full loop
+# pmf_stopped_sum: the block evaluation against the term-by-term loop
 # ---------------------------------------------------------------------------
+
+def assert_matches_full_loop(got: Pmf, count: Pmf, summand: Pmf, k_max: int, tol: float):
+    """Every grid mass within 1e-12 relative of the term-by-term loop (its
+    zeros exact), and tail bounds that bracket the loop's: each lower bound
+    at most the other upper one (up to rounding), and the upper one at most
+    1e-9 above the loop's.  The lower bounds differ where the summand has
+    mass off its own grid, which neither locates: the loop and the blocks
+    then locate different parts of the pushed mass."""
+    full = _full_loop(count, summand, k_max, tol)
+    assert np.all(np.abs(got.mass - full.mass) <= 1e-12 * full.mass)
+    assert full.tail_lo <= got.tail_mass * (1 + 1e-12)
+    assert got.tail_lo <= full.tail_mass * (1 + 1e-12)
+    assert got.tail_mass <= full.tail_mass * (1 + 1e-9)
+    return full
+
 
 @pytest.mark.parametrize("k_max", [512, 1024])
 @pytest.mark.parametrize("order", [1, 2])
 def test_early_stop_keeps_mass_bits(order, k_max):
-    # The theory-dense laws: the loop stops long before the count grid ends.
+    # The theory-dense laws over 15 to 33 blocks, against the term-by-term
+    # loop.  The name is from the early stop the blocks replaced.
     spec = actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), order, k_max)
     res = pmf_stopped_sum(spec, k_max, 1e-10)
-    full = _full_loop(spec.count, spec.summand, k_max, 1e-10)
-    assert np.array_equal(res.mass, full.mass)
-    assert full.tail_mass * (1 - 1e-12) <= res.tail_mass <= full.tail_mass + 1e-15
+    full = assert_matches_full_loop(res, spec.count, spec.summand, k_max, 1e-10)
+    # The summand spans the grid, so both lower bounds locate the same mass.
+    assert res.tail_lo == pytest.approx(full.tail_lo, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_count_truncation_before_stop_is_bit_identical(order):
+    # Count truncation inside the fourth block (n = 119) and a count that
+    # ends on a block edge (n = 128), against the term-by-term loop.  The
+    # name is from the early stop the blocks replaced.
     spec = actor_stopped_sum(law_pair("pareto(1,7)", "pareto(1,6)"), order, 128)
     res = pmf_stopped_sum(spec, 128, 1e-10)
-    full = _full_loop(spec.count, spec.summand, 128, 1e-10)
-    assert np.array_equal(res.mass, full.mass)
-    assert res.tail_mass == full.tail_mass
+    assert_matches_full_loop(res, spec.count, spec.summand, 128, 1e-10)
 
 
-def test_early_stop_skips_most_convolutions(monkeypatch):
+@pytest.mark.parametrize("x_law, y_law", [
+    ("pareto(1,9)", "pareto(1,5.5)"), ("pareto(1,7)", "pareto(1,6)"),
+    ("pareto(1,6.6)", "pareto(1,5.1)")])
+def test_degree_laws_of_the_acceptance_pairs_match_the_full_loop(x_law, y_law):
+    # Both degree laws of a 1024 build, counts of 119 to 1353 terms.
+    params = law_pair(x_law, y_law)
+    laws = LimitLaws(params, 1024)
+    counts = pmf_mixed_poissons([mixing_spec(params, "actor", r) for r in (1, 2)],
+                                laws.count_k_max, 1e-10)
+    for got, count in zip((laws.d1, laws.d2), counts):
+        assert_matches_full_loop(got, count, laws.tau, 1024, 1e-10)
+
+
+def test_block_evaluation_stays_within_its_convolution_budget(monkeypatch):
+    # B baby steps, one Horner step per block past the first and the
+    # squarings of the last term's bound, where the loop convolves all
+    # 1024 count terms.
     spec = actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), 2, 1024)
     calls = []
     convolve_raw = stoppedsum._convolve_raw
@@ -323,8 +391,12 @@ def test_early_stop_skips_most_convolutions(monkeypatch):
 
     monkeypatch.setattr(stoppedsum, "_convolve_raw", counting)
     pmf_stopped_sum(spec, 1024, 1e-10)
-    assert len(calls) <= 240  # the full loop convolves all 1024 count terms
-
+    n, _ = stoppedsum._truncation(spec.count, 1e-10)
+    blocks = n // stoppedsum._BLOCK
+    assert n == 1024
+    assert len(calls) <= stoppedsum._BLOCK + math.ceil(n / stoppedsum._BLOCK) \
+        + 2 * blocks.bit_length()
+    assert len(calls) == 32 + 32 + 6  # tau^{*1024} = G^{*32}: five squarings, one product
 
 
 def _shared_cases():
@@ -333,9 +405,9 @@ def _shared_cases():
     cut = [actor_stopped_sum(law_pair("pareto(1,7)", "pareto(1,6)"), r, 128)
            for r in (1, 2)]
     return {
-        # The two early stops fire at different i.
+        # 15 and 33 blocks: the shorter count stops inside a block.
         "theory-dense": ([spec.count for spec in dense], dense[0].summand, 1024),
-        # Count truncation ends both loops before any early stop.
+        # 4 and 5 blocks, the second of one term.
         "truncated": ([spec.count for spec in cut], cut[0].summand, 128),
         # A count with no term beyond the empty sum runs beside a real one.
         "point-zero": ([Pmf.point(0), dense[1].count], dense[1].summand, 1024),
@@ -349,10 +421,21 @@ def test_shared_powers_are_bit_identical(case):
     assert len(shared) == len(counts)
     for got, count in zip(shared, counts):
         alone = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max, 1e-10)
-        full = _full_loop(count, summand, k_max, 1e-10)
-        assert np.array_equal(got.mass, alone.mass) and got.tail_mass == alone.tail_mass
-        assert np.array_equal(got.mass, full.mass)
-        assert full.tail_mass * (1 - 1e-12) <= got.tail_mass <= full.tail_mass + 1e-15
+        assert np.array_equal(got.mass, alone.mass)
+        assert (got.tail_mass, got.tail_lo) == (alone.tail_mass, alone.tail_lo)
+        assert_matches_full_loop(got, count, summand, k_max, 1e-10)
+
+
+def test_grid_entries_do_not_depend_on_the_grid_length():
+    # Each convolution, block sum and Horner step makes entry s from entries
+    # at most s, in the same order on any grid, so for one truncation point
+    # a longer grid repeats a shorter one bit for bit.
+    rng = np.random.default_rng(3)
+    count, summand = Pmf(rng.dirichlet(np.ones(150))), Pmf(rng.dirichlet(np.ones(40)))
+    short = pmf_stopped_sum(StoppedSumSpec(count, summand), 64, 1e-300)
+    for k_max in (65, 100, 257, 1024):
+        longer = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max, 1e-300)
+        assert np.array_equal(longer.mass[:65], short.mass), k_max
 
 
 def test_shared_powers_edge_cases():

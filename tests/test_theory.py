@@ -254,8 +254,8 @@ def test_limit_laws_evaluate_one_tail_per_three_panels(monkeypatch):
 
 
 def test_limit_laws_convolve_each_power_of_tau_once(monkeypatch):
-    # d1 and d2 share one power sequence, which runs as long as the longer of
-    # the two single-count loops; the route laws add three convolutions.
+    # d1 and d2 share the baby steps tau^{*1..B}, which the two single-count
+    # sums make once each; the route laws add three convolutions.
     params = ModelParams(10000, 10000, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0))
     tau = pmf_offspring(params, 1024)
     counts = [pmf_mixed_poisson(mixing_spec(params, "actor", r), 1024) for r in (1, 2)]
@@ -272,10 +272,10 @@ def test_limit_laws_convolve_each_power_of_tau_once(monkeypatch):
         calls.clear()
         pmf_stopped_sum(StoppedSumSpec(count, tau), 1024, 1e-10)
         alone.append(len(calls))
+        assert ss._truncation(count, 1e-10)[0] >= ss._BLOCK
     calls.clear()
     LimitLaws(params, 1024)
-    assert alone[0] != alone[1]
-    assert len(calls) == max(alone) + 3
+    assert len(calls) == sum(alone) - ss._BLOCK + 3
 
 def test_model_params_validation():
     with pytest.raises(ValueError):
@@ -464,6 +464,27 @@ def test_theory_curve_stays_asymptotic_after_first_loose_row(monkeypatch):
     monkeypatch.setattr(laws, "tail_weights", loose_at_five)
     rows = th._curve_rows(laws, list(range(2, 9)))
     assert [row.asymptotic for row in rows] == [False] * 3 + [True] * 4
+
+
+def test_curve_rows_leave_out_a_loose_degree_two():
+    # At tol 0.5 every interval is loose.  The closed forms have no value at
+    # k - 2 = 0, so k = 2 gets no row, as a non-Pareto pair past its numeric
+    # rows does, and 3..5 get the rows they get without it.
+    laws = LimitLaws(pareto_params(7.0, 6.0), k_max=64, tol=0.5)
+    rows = th._curve_rows(laws, [2, 3, 4, 5])
+    assert [row.k for row in rows] == [3, 4, 5]
+    assert all(row.asymptotic for row in rows)
+    assert rows == th._curve_rows(laws, [3, 4, 5])
+
+
+@pytest.mark.parametrize("k", [0, 0.0, -1.0])
+def test_tail_asymptotics_reject_nonpositive_k(k):
+    params = pareto_params(6.6, 5.1)
+    for tail in (lambda: degree_tail_asymptotic(params, 1, k),
+                 lambda: attribute_tail_asymptotic(params, 2, k),
+                 lambda: tail_weight_asymptotics(params, k)):
+        with pytest.raises(ValueError, match="k > 0"):
+            tail()
 
 
 @pytest.mark.parametrize("params", [
