@@ -136,15 +136,14 @@ def _cmd_fit_delta(args) -> int:
             header = next(reader, None)
             if header is None:
                 raise DataFormatError(f"{args.csv}: empty file")
-            try:
-                ki = header.index(args.k_col) if args.k_col else 0
-                vi = header.index(args.value_col) if args.value_col else 1
-                rows = list(reader)
-            except ValueError:
-                raise DataFormatError(
-                    f"{args.csv}: no columns {args.k_col!r}/{args.value_col!r}")
+            missing = [c for c in (args.k_col, args.value_col) if c and c not in header]
+            if missing:
+                raise DataFormatError(f"{args.csv}: no column{'s' * (len(missing) > 1)} "
+                                      + "/".join(map(repr, missing)))
+            ki = header.index(args.k_col) if args.k_col else 0
+            vi = header.index(args.value_col) if args.value_col else 1
             points = []
-            for row in rows:
+            for row in reader:
                 if not row or len(row) <= max(ki, vi) or not row[vi].strip():
                     continue
                 try:

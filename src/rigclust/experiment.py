@@ -109,9 +109,9 @@ def parse_law(text: str) -> WeightLaw:
 def law_to_str(law: WeightLaw) -> str:
     if isinstance(law, Pareto):
         return f"pareto({law.x_min!r},{law.tail_index!r})"
-    if isinstance(law, Degenerate):
-        return f"degenerate({law.value!r})"
     if isinstance(law, Finite):
+        if len(law.atoms) == 1 and law.atoms[0][1] == 1.0:  # a point mass
+            return f"degenerate({law.atoms[0][0]!r})"
         atoms = ",".join(f"({v!r},{p!r})" for v, p in law.atoms)
         return f"finite([{atoms}])"
     raise TypeError(f"unknown law {type(law).__name__}")

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weights import Degenerate, DomainError, Finite, ModelParams, Pareto, WeightLaw
+from .weights import DomainError, Finite, ModelParams, Pareto, WeightLaw
 
 __all__ = [
     "Pmf",
@@ -360,10 +360,11 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 def _panel_widths(w: float, scale: float, ridge_end: float) -> float:
     """Local panel width: resolve the Poisson ridge while under it, then grow
     geometrically once every remaining grid entry sits in the left Poisson
-    tail (smooth in w)."""
+    tail (smooth in w).  The floor is relative to w, so panels shrink with a
+    tiny x_min."""
     if w < ridge_end:
         ridge = math.sqrt(scale * w + 1.0) / scale
-        return max(min(0.5 * w, ridge), 1e-12 * max(w, 1.0))
+        return max(min(0.5 * w, ridge), 1e-12 * w)
     return 0.5 * w
 
 
@@ -526,13 +527,9 @@ def pmf_mixed_poissons(specs: Sequence[MixingSpec], k_max: int,
     with np.errstate(under="ignore"):
         if isinstance(law, Pareto):
             return _pareto_mixtures(law, scale, orders, k_max, tol)
-        if isinstance(law, Degenerate):
-            atoms = ((law.value, 1.0),)
-        elif isinstance(law, Finite):
-            atoms = law.atoms
-        else:  # pragma: no cover - no other laws exist today
-            raise TypeError(f"unsupported weight law {type(law).__name__}")
-        return [_atomic_mixture(atoms, scale, r, k_max) for r in orders]
+        if isinstance(law, Finite):
+            return [_atomic_mixture(law.atoms, scale, r, k_max) for r in orders]
+        raise TypeError(f"unsupported weight law {type(law).__name__}")  # pragma: no cover
 
 
 def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:

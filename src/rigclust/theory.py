@@ -41,7 +41,7 @@ from .stoppedsum import convolve, pmf_stopped_sums, tail_from_pmf
 # Not called here; kept so that the names traced in rigclust.theory still resolve.
 from .mixedpoisson import pmf_mixed_poisson, pmf_offspring  # noqa: F401
 from .stoppedsum import pmf_stopped_sum  # noqa: F401
-from .weights import InfiniteMomentError, ModelParams, Pareto
+from .weights import DomainError, InfiniteMomentError, ModelParams, Pareto
 
 __all__ = [
     "DEFAULT_K_MAX",
@@ -88,12 +88,37 @@ def is_pareto_pair(params: ModelParams) -> bool:
 
 
 def _require_fourth_moments(params: ModelParams) -> None:
+    """The theory's domain gate, passed before any quadrature.
+
+    Both weight laws need finite fourth moments.  Their scales must also fit
+    double precision: E[Z^1..4] neither overflows nor, off a law at zero,
+    underflows to 0; a Pareto ``x_min**tail_index`` lies in [1e-300, 1e300],
+    as the quadrature weighs tilted densities by it and its reciprocal times
+    panel widths; and the route prefactors are finite.  Else DomainError.
+    """
+    what = ""
     try:
-        params.a(4), params.b(4)
+        for side, law in (("x_law", params.x_law), ("y_law", params.y_law)):
+            at_zero = law.tail(0.0) == 0.0
+            for r in (1, 2, 3, 4):
+                what = f"{side} E[Z^{r}]"
+                moment = law.moment(r)
+                if not math.isfinite(moment) or (moment == 0.0 and not at_zero):
+                    raise OverflowError  # handled below like a float overflow
+            if isinstance(law, Pareto):
+                what = f"{side} x_min**tail_index"
+                if not 1e-300 <= law.tail_amplitude <= 1e300:
+                    raise OverflowError
+        what = "a route prefactor"
+        if not all(map(math.isfinite, _route_prefactors(params))):
+            raise OverflowError
     except InfiniteMomentError as exc:
         raise InfiniteMomentError(
             "limit formulas need finite fourth moments of both weight laws "
             f"({exc})") from exc
+    except OverflowError as exc:
+        raise DomainError(f"weight scale out of range: {what} is too large or "
+                          "too small for double precision") from exc
 
 
 def _route_prefactors(params: ModelParams) -> tuple[float, float]:

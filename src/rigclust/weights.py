@@ -2,15 +2,14 @@
 
 The bipartite model attaches a positive random weight to every actor and every
 attribute; link probabilities are proportional to products of these weights.
-Three law families cover everything the workbench needs:
+Two law families cover everything the workbench needs:
 
 * ``Pareto(x_min, tail_index)`` -- survival function ``(x_min / t) ** tail_index``
   for ``t >= x_min``.  The canonical heavy-tailed choice; its raw moment of
   order ``r`` is finite exactly when ``r < tail_index``.
-* ``Degenerate(value)`` -- a point mass, handy for collapsing the model onto
-  plain Poisson behaviour in tests.
 * ``Finite(atoms)`` -- an arbitrary finite support law given as
-  ``((value, prob), ...)``.
+  ``((value, prob), ...)``.  ``Degenerate(value)`` builds its one-atom case,
+  the point mass that collapses the model onto plain Poisson behaviour.
 
 All laws are frozen dataclasses, safe to share across threads and usable as
 dict keys.  Sampling takes a ``numpy.random.Generator`` so callers control the
@@ -160,39 +159,6 @@ class Pareto(WeightLaw):
 
 
 @dataclass(frozen=True)
-class Degenerate(WeightLaw):
-    """Point mass at a nonnegative value."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (self.value >= 0 and math.isfinite(self.value)):
-            raise ValueError(f"value must be nonnegative and finite, got {self.value}")
-
-    def moment(self, r: int) -> float:
-        r = _check_order(r)
-        return self.value**r
-
-    def tail(self, t: float) -> float:
-        return 1.0 if self.value > t else 0.0
-
-    def truncated_moment(self, r: int, t: float) -> float:
-        r = _check_order(r)
-        return self.value**r if self.value > t else 0.0
-
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value, dtype=np.float64)
-
-    def size_biased(self, r: int) -> "Degenerate":
-        r = _check_order(r)
-        if r > 0 and self.value == 0.0:
-            raise ValueError("cannot size-bias a point mass at zero")
-        return self
-
-
-@dataclass(frozen=True)
 class Finite(WeightLaw):
     """Finite-support law given as atoms ((value, prob), ...)."""
 
@@ -241,6 +207,11 @@ class Finite(WeightLaw):
         if total <= 0.0:
             raise ValueError("cannot size-bias: law has zero mass above 0")
         return Finite(tuple((v, w / total) for (v, _), w in zip(self.atoms, weights)))
+
+
+def Degenerate(value: float) -> Finite:
+    """Point mass at a nonnegative value: the one-atom :class:`Finite` law."""
+    return Finite(((value, 1.0),))
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,12 @@ def test_simulate_output_dir_gets_spectrum_and_replicates(tmp_path, capsys):
 @pytest.mark.parametrize("law,match", [
     ("pareto(1,3.5)", "fourth moments"),
     ("degenerate(0)", "offspring law undefined"),
+    # Weight scales whose moments or densities leave the double range.
+    ("pareto(1e45,7)", "x_law x_min**tail_index is too large or too small"),
+    ("pareto(1e60,7)", "x_law x_min**tail_index is too large or too small"),
+    ("pareto(1e-45,7)", "x_law x_min**tail_index is too large or too small"),
+    ("degenerate(1e80)", "x_law E[Z^4] is too large or too small"),
+    ("degenerate(1e-160)", "x_law E[Z^3] is too large or too small"),
 ])
 def test_laws_outside_theory_domain_exit_one(tmp_path, capsys, command, law, match):
     code, _, err = run_main(
@@ -333,6 +339,14 @@ def test_fit_delta_named_columns_and_blank_cells(tmp_path, capsys):
         ["fit-delta", str(path), "--window", "2", "16",
          "--k-col", "k", "--value-col", "val"], capsys)
     assert code == EXIT_OK and "slope=" in out
+    # Only the requested columns missing from the header are named.
+    code, _, err = run_main(
+        ["fit-delta", str(path), "--window", "2", "16", "--k-col", "zz"], capsys)
+    assert code == EXIT_DATA and err == f"error: {path}: no column 'zz'\n"
+    code, _, err = run_main(
+        ["fit-delta", str(path), "--window", "2", "16",
+         "--k-col", "k", "--value-col", "zz"], capsys)
+    assert code == EXIT_DATA and err == f"error: {path}: no column 'zz'\n"
 
 
 @pytest.mark.parametrize("content,match", [

@@ -50,6 +50,9 @@ def test_parse_law_round_trip():
     for law in (Pareto(1.0, 6.0), Pareto(2.5, 7.25), Degenerate(1.3),
                 Finite(((1.0, 0.5), (3.0, 0.5)))):
         assert parse_law(law_to_str(law)) == law
+    # A point mass is the one-atom finite law, and prints as one.
+    assert Degenerate(2.0) == Finite(((2.0, 1.0),))
+    assert law_to_str(Finite(((2.0, 1.0),))) == "degenerate(2.0)"
 
 
 def test_parse_law_accepts_spacing_and_case():

@@ -15,6 +15,7 @@ import rigclust.graphgen as gg
 from rigclust import (
     Degenerate,
     EdgeBudgetError,
+    Finite,
     ModelParams,
     Pareto,
     ProjectedGraph,
@@ -58,25 +59,39 @@ def test_sample_is_deterministic_in_seed():
         assert not all(np.array_equal(a, b) for a, b in zip(s1.links, s3.links))
 
 
-LINK_PINS = [  # (generator, n = m, seed, sha256 of the link rows)
-    ("reference", 300, 11, "212ae97d9690c03ad317dbf6e22bd0a506dc513bb78ab4441767e60f596cf920"),
-    ("reference", 300, 2**63 + 11,
+PARETO = (Pareto(1, 7), Pareto(1, 6))
+POINT_MASSES = (Degenerate(1.1), Degenerate(0.9))
+TWO_ATOMS = (Finite(((1.0, 0.5), (3.0, 0.5))), Degenerate(2.0))
+LINK_PINS = [  # (generator, n = m, seed, (x law, y law), sha256 of the link rows)
+    ("reference", 300, 11, PARETO,
+     "212ae97d9690c03ad317dbf6e22bd0a506dc513bb78ab4441767e60f596cf920"),
+    ("reference", 300, 2**63 + 11, PARETO,
      "a2f5951672fe07da38ae60f7b1c078c228c51514b0be4574cec2276c8aa967ad"),
-    ("fast", 300, 11, "7380d57953876dae834d66f8a939d989cd93e1be6a21deccd421daff0a4115e8"),
-    ("fast", 300, 2**63 + 11, "bd4fe7ab888180a52868862c9be7979a1022b7d693cf55e67ec415752572f8ed"),
-    ("fast", 20000, 11, "33d84b3c68e44c27f30878c02cd03d5b95263295d7024d930322e4968de6edc6"),
+    ("fast", 300, 11, PARETO,
+     "7380d57953876dae834d66f8a939d989cd93e1be6a21deccd421daff0a4115e8"),
+    ("fast", 300, 2**63 + 11, PARETO,
+     "bd4fe7ab888180a52868862c9be7979a1022b7d693cf55e67ec415752572f8ed"),
+    ("fast", 20000, 11, PARETO,
+     "33d84b3c68e44c27f30878c02cd03d5b95263295d7024d930322e4968de6edc6"),
+    ("reference", 300, 11, POINT_MASSES,
+     "fe0c9030815c6e84917fdbc348c1772706763bb16d4b440c61880d53bdd607b6"),
+    ("fast", 300, 11, POINT_MASSES,
+     "d5da7a10577f0a6cbde63124e4a38b8aeb044d41cb3c2f60a89a259991198492"),
+    ("fast", 300, 11, TWO_ATOMS,
+     "5ac93ccbd48961c3bd5925e66d95fd987b7b0bd08ebef7d7911f453bf07d2ac5"),
 ]
 
 
-@pytest.mark.parametrize("generator, n, seed, digest", LINK_PINS,
-                         ids=[f"{seed}-{digest}" for _, _, seed, digest in LINK_PINS])
-def test_reference_links_are_pinned(generator, n, seed, digest):
+@pytest.mark.parametrize("generator, n, seed, laws, digest", LINK_PINS,
+                         ids=[f"{seed}-{digest}" for _, _, seed, _, digest in LINK_PINS])
+def test_reference_links_are_pinned(generator, n, seed, laws, digest):
     # Row i of the reference scan reads the Philox stream keyed by
     # (seed, _STREAM_REF | i), and each block of the fast sampler the stream
     # keyed by (seed, _STREAM_FAST | block id); these digests pin those
-    # bytes, including a seed at or above 2**63 and, at n = m = 20000, a fast
-    # sample drawn in many row chunks.
-    params = ModelParams(n, n, 1.0, Pareto(1, 7), Pareto(1, 6))
+    # bytes, including a seed at or above 2**63, at n = m = 20000 a fast
+    # sample drawn in many row chunks, and point masses, whose weights are
+    # one-atom finite laws.
+    params = ModelParams(n, n, 1.0, *laws)
     h = hashlib.sha256()
     for row in sample_bipartite(params, seed, generator).links:
         h.update(np.int64(row.size).tobytes())

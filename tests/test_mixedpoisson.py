@@ -35,19 +35,19 @@ def pareto_mixture_entry(x_min: float, alpha: float, scale: float, s: int) -> fl
     law on [z0, inf) with z0 = scale * x_min.  Integration gives, for s > alpha,
         P(S=s) = alpha z0^alpha Gamma(s-alpha) Q(s-alpha, z0) / s!
     with Q the regularized upper incomplete gamma.  Smaller s fall back to
-    numerical quadrature of the defining integral.
+    numerical quadrature of the defining integral in u = log(rate / z0), where
+    the integrand alpha z0^s e^((s - alpha) u - z0 e^u) / s! is smooth however
+    small z0 is.
     """
     z0 = scale * x_min
     if s > alpha + 1:
         log_val = (math.log(alpha) + alpha * math.log(z0)
                    + gammaln(s - alpha) - gammaln(s + 1))
         return math.exp(log_val) * gammaincc(s - alpha, z0)
-    val, _ = quad(
-        lambda lam: (math.exp(s * math.log(lam) - lam - gammaln(s + 1))
-                     if lam > 0 else 0.0)
-        * alpha * z0**alpha * lam ** (-alpha - 1),
-        z0, np.inf)
-    return val
+    peak = max(math.log(max(s - alpha, 1.0) / z0), 0.0)
+    val, _ = quad(lambda u: math.exp((s - alpha) * u - z0 * math.exp(u)),
+                  0.0, peak + 40.0, points=[peak], limit=200, epsabs=0.0, epsrel=1e-13)
+    return val * math.exp(math.log(alpha) + s * math.log(z0) - gammaln(s + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +97,14 @@ def test_rate_zero_atom_collapses_to_origin():
 
 
 def test_pareto_mixing_matches_incomplete_gamma():
-    for alpha, scale in ((6.0, 1.2), (7.0, 0.9), (5.5, 2.0)):
-        spec = MixingSpec(Pareto(1.0, alpha), scale=scale)
+    # x_min = 1e-20 needs panels far narrower than 1e-12 near x_min.
+    for x_min, alpha, scale in ((1.0, 6.0, 1.2), (1.0, 7.0, 0.9), (1.0, 5.5, 2.0),
+                                (1e-20, 7.0, 1.2)):
+        spec = MixingSpec(Pareto(x_min, alpha), scale=scale)
         res = pmf_mixed_poisson(spec, k_max=512, tol=1e-10)
         ss = np.concatenate([np.arange(0, 40), np.arange(40, 513, 13)])
         for s in ss:
-            expect = pareto_mixture_entry(1.0, alpha, scale, int(s))
+            expect = pareto_mixture_entry(x_min, alpha, scale, int(s))
             if expect > 1e-280:
                 assert res.mass[s] == pytest.approx(expect, rel=2e-9), s
 
