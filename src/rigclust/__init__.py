@@ -27,7 +27,6 @@ from .mixedpoisson import (
     sample_biased,
 )
 from .stoppedsum import (
-    StoppedSumSpec,
     convolve,
     pmf_stopped_sum,
     pmf_stopped_sums,

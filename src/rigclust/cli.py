@@ -9,14 +9,15 @@ Subcommands:
 * ``stats``     -- clustering spectrum of an external edge list.
 
 Exit codes: 0 success (also when the reader of stdout closes it early), 1
-usage error (including a ``tol`` outside (0, 1), ``--workers`` below 1 and
-a config file that is not UTF-8), weight laws outside the theory's domain,
-or a quadrature that cannot reach ``tol``, 2 malformed data (also an edge
-list or CSV that is not UTF-8, a CSV field over the ``csv`` module's size
-limit, or a ``nan`` k for ``fit-delta``), 3 run too large: the edge budget
-aborted every replicate, or an allocation was refused.  ``simulate`` and
-``compare`` run the replicates on at most ``--workers`` threads, and on at
-most one thread per replicate.
+usage error (including a ``tol`` outside (0, 1), ``--workers`` below 1, a
+reversed or ``nan`` ``--window`` and a config file that is not UTF-8),
+weight laws outside the theory's domain, or a quadrature that cannot reach
+``tol``, 2 malformed data (also an edge list or CSV that is not UTF-8, a
+CSV field over the ``csv`` module's size limit, or a ``nan`` k for
+``fit-delta``), 3 run too large: the edge budget aborted every replicate,
+or an allocation was refused.  ``simulate`` and ``compare`` run the
+replicates on at most ``--workers`` threads, and on at most one thread per
+replicate.
 """
 
 from __future__ import annotations
@@ -130,6 +131,9 @@ def _cmd_compare(args) -> int:
 def _cmd_fit_delta(args) -> int:
     import csv
 
+    lo, hi = args.window
+    if not lo <= hi:  # also a nan bound
+        raise UsageError(f"--window needs LO <= HI, got {lo} {hi}")
     try:
         with open(args.csv, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
@@ -153,7 +157,7 @@ def _cmd_fit_delta(args) -> int:
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"cannot read {args.csv}: {exc}") from exc
     try:
-        fit = fit_delta(points, (args.window[0], args.window[1]))
+        fit = fit_delta(points, (lo, hi))
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
     print(f"slope={fit.slope!r} intercept={fit.intercept!r} "

@@ -6,7 +6,7 @@ described by integer laws of the form
     P(value = s) = E[ exp(-rate) * rate**(s + r) ] / (s! * E[rate**r]),
 
 i.e. a Poisson law whose rate ``rate = scale * W`` is random (``W`` follows a
-:class:`~rigclust.weights.WeightLaw`), tilted by ``rate**r``.  The order-``r``
+:data:`~rigclust.weights.WeightLaw`), tilted by ``rate**r``.  The order-``r``
 tilt is the familiar size-biasing: the same law is obtained by mixing a plain
 Poisson over the ``r``-size-biased weight law, which is also how sampling and
 the quadrature below are organised.
@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weights import DomainError, Finite, ModelParams, Pareto, WeightLaw
+from .weights import DomainError, ModelParams, Pareto, WeightLaw
 
 __all__ = [
     "Pmf",
@@ -374,6 +374,14 @@ class _Job:
     def __init__(self, law: Pareto, scale: float, r: int, k_max: int, tol: float):
         biased = law.size_biased(r)
         x0, a = biased.x_min, biased.tail_index
+        try:
+            # The density factors peak at x0; math.pow raises where numpy's
+            # power in the panels would give inf.
+            math.pow(x0, a)
+            math.pow(x0, -a - 1.0)
+        except OverflowError:
+            raise DomainError(f"weight scale out of range: the order-{r} Pareto density "
+                              f"overflows at x_min = {x0!r}") from None
         # Cut the weight line where (i) the biased mixing tail is negligible
         # and (ii) every Poisson ridge for entries s <= k_max has been passed.
         tail_eps = min(tol, 1e-12)
@@ -527,9 +535,7 @@ def pmf_mixed_poissons(specs: Sequence[MixingSpec], k_max: int,
     with np.errstate(under="ignore"):
         if isinstance(law, Pareto):
             return _pareto_mixtures(law, scale, orders, k_max, tol)
-        if isinstance(law, Finite):
-            return [_atomic_mixture(law.atoms, scale, r, k_max) for r in orders]
-        raise TypeError(f"unsupported weight law {type(law).__name__}")  # pragma: no cover
+        return [_atomic_mixture(law.atoms, scale, r, k_max) for r in orders]
 
 
 def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:

@@ -21,28 +21,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .mixedpoisson import Pmf
 
-__all__ = [
-    "StoppedSumSpec", "convolve", "pmf_stopped_sum", "pmf_stopped_sums", "tail_from_pmf",
-]
+__all__ = ["convolve", "pmf_stopped_sum", "pmf_stopped_sums", "tail_from_pmf"]
 
 
 #: Block size B, fixed so that a count's bits do not depend on where its grid
 #: cuts it; B + n / B is within 25 % of the best, 2 sqrt(n), for n in 250..4000.
 _BLOCK = 32
-
-
-@dataclass(frozen=True)
-class StoppedSumSpec:
-    """Count law plus summand law for a randomly stopped sum."""
-
-    count: Pmf
-    summand: Pmf
 
 
 def _pmf(mass: np.ndarray, tail: float, lo: float) -> Pmf:
@@ -94,14 +83,17 @@ def _truncation(count: Pmf, tol: float) -> tuple[int, float]:
 
 def _power_lo(powers: list[Pmf], n: int, k_max: int) -> float:
     """Lower bound on P(S_n > k_max): ``tail_lo`` of tau^{*(n mod B)} times
-    G^{*(n div B)}, the power of G = ``powers[-1]`` made by squaring."""
-    power, base, q = powers[n % _BLOCK], powers[-1], n // _BLOCK
+    G^{*(n div B)}, the power of G = ``powers[-1]`` made by squaring.  A
+    remainder of 0 starts from the first power of G taken, not from the unit
+    tau^{*0}, whose product with it is that power bit for bit."""
+    q, rem = divmod(n, _BLOCK)
+    power, base = powers[rem] if rem else None, powers[-1]
     while q:
         if q & 1:
-            power = convolve(power, base, k_max)
+            power = base if power is None else convolve(power, base, k_max)
         q >>= 1
         base = convolve(base, base, k_max) if q else base
-    return power.tail_lo
+    return power.tail_lo if power is not None else 0.0
 
 
 def pmf_stopped_sums(counts: Sequence[Pmf], summand: Pmf, k_max: int,
@@ -166,9 +158,9 @@ def pmf_stopped_sums(counts: Sequence[Pmf], summand: Pmf, k_max: int,
     return out
 
 
-def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
+def pmf_stopped_sum(count: Pmf, summand: Pmf, k_max: int | None = None,
                     tol: float = 1e-10) -> Pmf:
-    """Pmf of ``sum_{j <= N} tau_j`` for ``N ~ spec.count``, ``tau ~ spec.summand``.
+    """Pmf of ``sum_{j <= N} tau_j`` for ``N ~ count``, ``tau ~ summand``.
 
     The count is truncated at the smallest i with P(N > i) + ``count.tail_mass``
     < tol; the remaining count probability joins the tail bound, as do the
@@ -177,7 +169,6 @@ def pmf_stopped_sum(spec: StoppedSumSpec, k_max: int | None = None,
     as in :func:`convolve`.  This is the one-count case of
     :func:`pmf_stopped_sums`.
     """
-    count, summand = spec.count, spec.summand
     if k_max is None:
         k_max = count.k_max * summand.k_max
     return pmf_stopped_sums([count], summand, k_max, tol)[0]

@@ -11,9 +11,9 @@ Two law families cover everything the workbench needs:
   ``((value, prob), ...)``.  ``Degenerate(value)`` builds its one-atom case,
   the point mass that collapses the model onto plain Poisson behaviour.
 
-All laws are frozen dataclasses, safe to share across threads and usable as
-dict keys.  Sampling takes a ``numpy.random.Generator`` so callers control the
-stream.
+``WeightLaw`` is the closed pair ``Pareto | Finite``.  Both are frozen
+dataclasses, safe to share across threads and usable as dict keys.  Sampling
+takes a ``numpy.random.Generator`` so callers control the stream.
 
 :class:`ModelParams` bundles the two laws with the sizes and the shape ratio:
 it is the one model that both the sampler and the limit theory read.
@@ -45,34 +45,6 @@ class InfiniteMomentError(DomainError):
     """Raised when a requested raw moment does not exist for the law."""
 
 
-@dataclass(frozen=True)
-class WeightLaw:
-    """Base class for nonnegative weight laws.
-
-    Subclasses implement raw moments, tail probabilities, truncated moments
-    ``E[Z**r; Z > t]``, inverse-CDF sampling, and size-biasing of order ``r``
-    (the law with density proportional to ``z**r`` times the original).
-    """
-
-    def moment(self, r: int) -> float:
-        raise NotImplementedError
-
-    def tail(self, t: float) -> float:
-        """P(Z > t)."""
-        raise NotImplementedError
-
-    def truncated_moment(self, r: int, t: float) -> float:
-        """E[Z**r restricted to Z > t]."""
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size=None):
-        raise NotImplementedError
-
-    def size_biased(self, r: int) -> "WeightLaw":
-        """Law reweighted by z**r; identity for r = 0."""
-        raise NotImplementedError
-
-
 def _check_order(r: int) -> int:
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise ValueError(f"moment order must be a nonnegative integer, got {r!r}")
@@ -80,7 +52,7 @@ def _check_order(r: int) -> int:
 
 
 @dataclass(frozen=True)
-class Pareto(WeightLaw):
+class Pareto:
     """Pareto law on [x_min, inf) with survival (x_min/t)**tail_index."""
 
     x_min: float
@@ -159,7 +131,7 @@ class Pareto(WeightLaw):
 
 
 @dataclass(frozen=True)
-class Finite(WeightLaw):
+class Finite:
     """Finite-support law given as atoms ((value, prob), ...)."""
 
     atoms: tuple
@@ -207,6 +179,13 @@ class Finite(WeightLaw):
         if total <= 0.0:
             raise ValueError("cannot size-bias: law has zero mass above 0")
         return Finite(tuple((v, w / total) for (v, _), w in zip(self.atoms, weights)))
+
+
+#: The closed pair of weight laws.  Each gives raw moments ``moment(r)``, the
+#: tail ``tail(t)`` = P(Z > t), truncated moments ``truncated_moment(r, t)`` =
+#: E[Z**r; Z > t], inverse-CDF ``sample(rng, size)`` and ``size_biased(r)``,
+#: the law reweighted by z**r (identity for r = 0).
+WeightLaw = Pareto | Finite
 
 
 def Degenerate(value: float) -> Finite:

@@ -21,7 +21,6 @@ from rigclust import (
     LimitLaws,
     ModelParams,
     Pareto,
-    StoppedSumSpec,
     attribute_tail_asymptotic,
     clustering_spectrum,
     degree_tail_asymptotic,
@@ -88,7 +87,7 @@ def test_point_mass_weights_match_poisson_references(announce):
     worst = max(worst, float(np.abs(off.mass - poisson.pmf(grid, nu)).max()))
 
     count = pmf_mixed_poisson(mixing_spec(params, "actor", 0), 256, 1e-12)
-    got = pmf_stopped_sum(StoppedSumSpec(count, off), 512, 1e-12)
+    got = pmf_stopped_sum(count, off, 512, 1e-12)
     sgrid = np.arange(513)
     ref = np.zeros(513)
     for i in range(81):  # Poisson(mu) mass beyond 80 is < 1e-100
@@ -119,7 +118,7 @@ def test_pmfs_match_monte_carlo(announce):
     for r in (1, 2):
         count = pmf_mixed_poisson(mixing_spec(params, "actor", r), 2048, 1e-10)
         laws[f"degree law, order {r}"] = pmf_stopped_sum(
-            StoppedSumSpec(count, laws["offspring law"]), 4096, 1e-10)
+            count, laws["offspring law"], 4096, 1e-10)
 
     def draw(name):
         if name.startswith("attribute"):

@@ -384,6 +384,23 @@ def test_fit_delta_nan_k_exit_two(tmp_path, capsys):
     assert err == "error: log-log fit needs positive finite data, got (nan, 1.0)\n"
 
 
+@pytest.mark.parametrize("window", [("4", "1"), ("nan", "4"), ("1", "nan")])
+def test_fit_delta_bad_window_exit_one(tmp_path, capsys, window):
+    # A reversed window or a nan bound is a bad flag, not missing data.
+    path = tmp_path / "curve.csv"
+    path.write_text("k,value\n2,1\n3,0.5\n4,0.25\n")
+    code, out, err = run_main(["fit-delta", str(path), "--window", *window], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: --window") and err.count("\n") == 1
+
+
+def test_fit_delta_infinite_window_bound(tmp_path, capsys):
+    path = tmp_path / "curve.csv"
+    path.write_text("k,value\n2,1\n3,0.5\n4,0.25\n")
+    code, out, _ = run_main(["fit-delta", str(path), "--window", "2", "inf"], capsys)
+    assert code == EXIT_OK and "n=3" in out
+
+
 def test_fit_delta_oversized_field_exit_two(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     path.write_text("k,value\n2," + "9" * 200_000 + "\n")

@@ -17,6 +17,7 @@ from rigclust import (
     ModelParams,
     Pareto,
     UsageError,
+    WeightLaw,
     build_config,
     config_hash,
     fit_delta,
@@ -53,6 +54,14 @@ def test_parse_law_round_trip():
     # A point mass is the one-atom finite law, and prints as one.
     assert Degenerate(2.0) == Finite(((2.0, 1.0),))
     assert law_to_str(Finite(((2.0, 1.0),))) == "degenerate(2.0)"
+
+
+def test_parsed_laws_are_weight_laws():
+    # WeightLaw is the closed pair of the two law classes.
+    assert WeightLaw == Pareto | Finite
+    for text in ("pareto(1,6)", "degenerate(1.3)", "finite([(1,0.5),(3,0.5)])"):
+        assert isinstance(parse_law(text), WeightLaw)
+    assert not isinstance(object(), WeightLaw)
 
 
 def test_parse_law_accepts_spacing_and_case():

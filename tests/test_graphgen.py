@@ -246,6 +246,17 @@ def test_bucket_candidates_at_vanishing_probability():
     assert np.array_equal(indptr, [0, 0, 0, 0]) and actors.size == 0
 
 
+def test_bucket_candidates_take_further_batches():
+    # Gaps of one never pass the end within the first batch of draws, so
+    # every later batch starts from the last position of the one before.
+    class UnitGaps:
+        def geometric(self, p, size):
+            return np.ones(size, dtype=np.int64)
+
+    for size in (100, 1000):
+        assert np.array_equal(gg._bucket_candidates(UnitGaps(), size, 0.01), np.arange(size))
+
+
 def test_bucket_candidates_are_iid_bernoulli():
     # Geometric gaps must reproduce iid Bernoulli(p) positions: the count in
     # each cell is Binomial(R, p) and the cells are independent, so the

@@ -382,6 +382,16 @@ def test_grid_is_the_one_asked_for():
     assert short.tail_mass >= math.fsum(long.mass[9:])
 
 
+def test_overflowing_density_at_x_min_is_a_domain_error():
+    # (1e-40)**-8 overflows at bias order 0: one DomainError before any
+    # panel, not NaN panels.  Order 1 (x_min**-7) still builds.
+    with pytest.raises(DomainError, match=r"^weight scale out of range: the order-0 "
+                                          r"Pareto density overflows at x_min = 1e-40$"):
+        pmf_mixed_poisson(MixingSpec(Pareto(1e-40, 7.0), 1.2), 512)
+    built = pmf_mixed_poisson(MixingSpec(Pareto(1e-40, 7.0), 1.2, 1), 512)
+    assert np.all(np.isfinite(built.mass))
+
+
 def test_scale_validation():
     with pytest.raises(ValueError):
         MixingSpec(Pareto(1.0, 6.0), scale=0.0)

@@ -12,7 +12,6 @@ from rigclust import (
     MixingSpec,
     ModelParams,
     Pmf,
-    StoppedSumSpec,
     convolve,
     mixing_spec,
     parse_law,
@@ -81,11 +80,10 @@ def law_pair(x_law: str, y_law: str) -> ModelParams:
                        y_law=parse_law(y_law))
 
 
-def actor_stopped_sum(params: ModelParams, order: int, k_max: int) -> StoppedSumSpec:
+def actor_stopped_sum(params: ModelParams, order: int, k_max: int) -> tuple[Pmf, Pmf]:
     """The order-r actor count and offspring summand of the limit laws."""
-    return StoppedSumSpec(
-        pmf_mixed_poisson(mixing_spec(params, "actor", order), k_max, 1e-10),
-        pmf_offspring(params, k_max, 1e-10))
+    return (pmf_mixed_poisson(mixing_spec(params, "actor", order), k_max, 1e-10),
+            pmf_offspring(params, k_max, 1e-10))
 
 
 def neyman_type_a(mu: float, lam: float, k_max: int, terms: int = 400) -> np.ndarray:
@@ -168,19 +166,19 @@ def test_convolve_identity_element():
 
 def test_zero_count_is_point_mass_at_zero():
     summand = Pmf(np.array([0.3, 0.7]))
-    res = pmf_stopped_sum(StoppedSumSpec(Pmf.point(0), summand))
+    res = pmf_stopped_sum(Pmf.point(0), summand)
     assert res.mass[0] == pytest.approx(1.0)
 
 
 def test_unit_count_returns_summand():
     summand = Pmf(np.array([0.1, 0.2, 0.7]))
-    res = pmf_stopped_sum(StoppedSumSpec(Pmf.point(1), summand))
+    res = pmf_stopped_sum(Pmf.point(1), summand)
     assert np.allclose(res.mass[:3], summand.mass, atol=1e-15)
 
 
 def test_fixed_count_is_iterated_convolution():
     summand = Pmf(np.array([0.5, 0.25, 0.25]))
-    res = pmf_stopped_sum(StoppedSumSpec(Pmf.point(3), summand))
+    res = pmf_stopped_sum(Pmf.point(3), summand)
     expect = np.convolve(np.convolve(summand.mass, summand.mass), summand.mass)
     assert np.allclose(res.mass[: expect.size], expect, atol=1e-14)
 
@@ -188,7 +186,7 @@ def test_fixed_count_is_iterated_convolution():
 def test_unit_summands_reproduce_count_law():
     # Summing N copies of the constant 1 returns N itself.
     count = Pmf(np.array([0.1, 0.4, 0.3, 0.2]))
-    res = pmf_stopped_sum(StoppedSumSpec(count, Pmf.point(1)))
+    res = pmf_stopped_sum(count, Pmf.point(1))
     assert np.allclose(res.mass[:4], count.mass, atol=1e-14)
 
 
@@ -198,7 +196,7 @@ def test_stopped_sum_matches_brute_force():
         count = Pmf(rng.dirichlet(np.ones(rng.integers(3, 12))))
         summand = Pmf(rng.dirichlet(np.ones(rng.integers(2, 6))))
         k_max = 40
-        res = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max=k_max,
+        res = pmf_stopped_sum(count, summand, k_max=k_max,
                               tol=1e-15)
         expect = brute_stopped_sum(count, summand, k_max)
         assert np.max(np.abs(res.mass - expect)) < 1e-13
@@ -207,7 +205,7 @@ def test_stopped_sum_matches_brute_force():
 def test_wald_mean_identity():
     count = Pmf(np.array([0.2, 0.3, 0.3, 0.2]))
     summand = Pmf(np.array([0.25, 0.5, 0.25]))
-    res = pmf_stopped_sum(StoppedSumSpec(count, summand))
+    res = pmf_stopped_sum(count, summand)
     assert res.mean() == pytest.approx(count.mean() * summand.mean(), rel=1e-12)
 
 
@@ -219,7 +217,7 @@ def test_neyman_type_a_reference():
     mu, lam = 2.0, 3.0
     count = pmf_mixed_poisson(MixingSpec(Degenerate(mu), 1.0), k_max=128)
     summand = pmf_mixed_poisson(MixingSpec(Degenerate(lam), 1.0), k_max=128)
-    res = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max=128,
+    res = pmf_stopped_sum(count, summand, k_max=128,
                           tol=1e-14)
     expect = neyman_type_a(mu, lam, 128)
     assert np.max(np.abs(res.mass - expect)) < 1e-12
@@ -229,7 +227,7 @@ def test_stopped_sum_monte_carlo():
     rng = np.random.default_rng(321)
     count = Pmf(rng.dirichlet(np.ones(8)))
     summand = Pmf(rng.dirichlet(np.ones(5)))
-    res = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max=64)
+    res = pmf_stopped_sum(count, summand, k_max=64)
     n_mc = 200_000
     ns = sample_pmf(rng, count, n_mc)
     total_draws = int(ns.sum())
@@ -246,7 +244,7 @@ def test_count_truncation_goes_to_tail():
     # A count with substantial mass at large values, truncated aggressively.
     count = Pmf(np.full(51, 1.0 / 51.0))
     summand = Pmf(np.array([0.0, 1.0]))  # always 1, so sum == count
-    res = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max=20, tol=1e-12)
+    res = pmf_stopped_sum(count, summand, k_max=20, tol=1e-12)
     assert float(res.mass[:21].sum()) == pytest.approx(21.0 / 51.0, rel=1e-12)
     assert res.tail_mass == pytest.approx(30.0 / 51.0, rel=1e-12)
 
@@ -256,7 +254,7 @@ def test_count_past_its_grid_is_located_by_the_last_power():
     # when N >= 6.  The sum holds terms 6..9; the terms past the count grid
     # are left out, but S_j >= S_9 > 10 puts their mass past the grid too.
     count = Pmf(np.full(10, 0.08), tail_mass=0.2, tail_lo=0.2)
-    res = pmf_stopped_sum(StoppedSumSpec(count, Pmf.point(2)), k_max=10)
+    res = pmf_stopped_sum(count, Pmf.point(2), k_max=10)
     assert res.tail_lo == pytest.approx(4 * 0.08 + 0.2, rel=1e-14)
     assert res.tail_mass == pytest.approx(4 * 0.08 + 0.2, rel=1e-14)
 
@@ -266,16 +264,35 @@ def test_count_past_its_grid_is_located_by_the_last_power_of_several_blocks():
     # when N >= 76, and S_99 = tau^{*3} G^{*3} locates the mass past the
     # count grid; without that bound tail_lo would read 24 * 0.008 alone.
     count = Pmf(np.full(100, 0.008), tail_mass=0.2, tail_lo=0.2)
-    res = pmf_stopped_sum(StoppedSumSpec(count, Pmf.point(2)), k_max=150)
+    res = pmf_stopped_sum(count, Pmf.point(2), k_max=150)
     assert res.tail_lo == pytest.approx(24 * 0.008 + 0.2, rel=1e-14)
     assert res.tail_mass == pytest.approx(24 * 0.008 + 0.2, rel=1e-14)
+
+
+def test_power_bound_on_a_block_edge_skips_the_unit(monkeypatch):
+    # n = 64 = 2B: the bound of tau^{*64} = G^{*2} takes one squaring of G
+    # and no product of the unit tau^{*0} with it, which would repeat
+    # G^{*2} bit for bit.
+    summand = off_grid(np.random.default_rng(5).dirichlet(np.ones(8)), 5)
+    k_max = 200
+    powers = [Pmf.point(0, k_max)]
+    for _ in range(stoppedsum._BLOCK):
+        powers.append(convolve(powers[-1], summand, k_max))
+    square = convolve(powers[-1], powers[-1], k_max)
+    unit_square = convolve(powers[0], square, k_max)
+    assert np.array_equal(unit_square.mass, square.mass)
+    assert (unit_square.tail_mass, unit_square.tail_lo) == (square.tail_mass, square.tail_lo)
+    calls = []
+    monkeypatch.setattr(stoppedsum, "convolve", lambda *args: calls.append(args) or convolve(*args))
+    assert stoppedsum._power_lo(powers, 64, k_max) == unit_square.tail_lo > 0.0
+    assert len(calls) == 1
 
 
 def test_truncated_count_mass_on_the_grid_stays_out_of_tail_lo():
     # Truncation at P(N > i) < 0.5 leaves out N = 26..50, whose sums
     # S_j = j all lie on the grid: the lost mass is in tail_mass only.
     count = Pmf(np.full(51, 1.0 / 51.0))
-    res = pmf_stopped_sum(StoppedSumSpec(count, Pmf.point(1)), k_max=100, tol=0.5)
+    res = pmf_stopped_sum(count, Pmf.point(1), k_max=100, tol=0.5)
     assert res.tail_mass == pytest.approx(25.0 / 51.0, rel=1e-12)
     assert res.tail_lo == 0.0
 
@@ -297,7 +314,7 @@ def assert_bounds_bracket_brute_force(rng, count_size, summand_size, k_count, k_
         top = max(200, (count_size - 1) * (summand_size - 1))
         exact = brute_stopped_sum(Pmf(count_full), Pmf(summand_full), top)
         count, summand = off_grid(count_full, k_count), off_grid(summand_full, k_summand)
-        res = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max, tol)
+        res = pmf_stopped_sum(count, summand, k_max, tol)
         beyond = math.fsum(exact[k_max + 1:])
         assert res.tail_lo <= beyond * (1 + 1e-12) + 1e-15
         assert beyond <= res.tail_mass * (1 + 1e-12) + 1e-15
@@ -344,24 +361,23 @@ def assert_matches_full_loop(got: Pmf, count: Pmf, summand: Pmf, k_max: int, tol
 
 @pytest.mark.parametrize("k_max", [512, 1024])
 @pytest.mark.parametrize("order", [1, 2])
-def test_early_stop_keeps_mass_bits(order, k_max):
+def test_dense_blocks_match_the_full_loop(order, k_max):
     # The theory-dense laws over 15 to 33 blocks, against the term-by-term
-    # loop.  The name is from the early stop the blocks replaced.
-    spec = actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), order, k_max)
-    res = pmf_stopped_sum(spec, k_max, 1e-10)
-    full = assert_matches_full_loop(res, spec.count, spec.summand, k_max, 1e-10)
+    # loop.
+    count, summand = actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), order, k_max)
+    res = pmf_stopped_sum(count, summand, k_max, 1e-10)
+    full = assert_matches_full_loop(res, count, summand, k_max, 1e-10)
     # The summand spans the grid, so both lower bounds locate the same mass.
     assert res.tail_lo == pytest.approx(full.tail_lo, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_count_truncation_before_stop_is_bit_identical(order):
+def test_truncated_counts_match_the_full_loop(order):
     # Count truncation inside the fourth block (n = 119) and a count that
-    # ends on a block edge (n = 128), against the term-by-term loop.  The
-    # name is from the early stop the blocks replaced.
-    spec = actor_stopped_sum(law_pair("pareto(1,7)", "pareto(1,6)"), order, 128)
-    res = pmf_stopped_sum(spec, 128, 1e-10)
-    assert_matches_full_loop(res, spec.count, spec.summand, 128, 1e-10)
+    # ends on a block edge (n = 128), against the term-by-term loop.
+    count, summand = actor_stopped_sum(law_pair("pareto(1,7)", "pareto(1,6)"), order, 128)
+    res = pmf_stopped_sum(count, summand, 128, 1e-10)
+    assert_matches_full_loop(res, count, summand, 128, 1e-10)
 
 
 @pytest.mark.parametrize("x_law, y_law", [
@@ -381,7 +397,7 @@ def test_block_evaluation_stays_within_its_convolution_budget(monkeypatch):
     # B baby steps, one Horner step per block past the first and the
     # squarings of the last term's bound, where the loop convolves all
     # 1024 count terms.
-    spec = actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), 2, 1024)
+    count, summand = actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), 2, 1024)
     calls = []
     convolve_raw = stoppedsum._convolve_raw
 
@@ -390,27 +406,27 @@ def test_block_evaluation_stays_within_its_convolution_budget(monkeypatch):
         return convolve_raw(*args)
 
     monkeypatch.setattr(stoppedsum, "_convolve_raw", counting)
-    pmf_stopped_sum(spec, 1024, 1e-10)
-    n, _ = stoppedsum._truncation(spec.count, 1e-10)
+    pmf_stopped_sum(count, summand, 1024, 1e-10)
+    n, _ = stoppedsum._truncation(count, 1e-10)
     blocks = n // stoppedsum._BLOCK
     assert n == 1024
     assert len(calls) <= stoppedsum._BLOCK + math.ceil(n / stoppedsum._BLOCK) \
         + 2 * blocks.bit_length()
-    assert len(calls) == 32 + 32 + 6  # tau^{*1024} = G^{*32}: five squarings, one product
+    assert len(calls) == 32 + 32 + 5  # tau^{*1024} = G^{*32}: five squarings
 
 
 def _shared_cases():
-    dense = [actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), r, 1024)
-             for r in (1, 2)]
-    cut = [actor_stopped_sum(law_pair("pareto(1,7)", "pareto(1,6)"), r, 128)
-           for r in (1, 2)]
+    (dense1, dense_tau), (dense2, _) = (
+        actor_stopped_sum(law_pair("pareto(2,7)", "pareto(2,6)"), r, 1024) for r in (1, 2))
+    (cut1, cut_tau), (cut2, _) = (
+        actor_stopped_sum(law_pair("pareto(1,7)", "pareto(1,6)"), r, 128) for r in (1, 2))
     return {
         # 15 and 33 blocks: the shorter count stops inside a block.
-        "theory-dense": ([spec.count for spec in dense], dense[0].summand, 1024),
+        "theory-dense": ([dense1, dense2], dense_tau, 1024),
         # 4 and 5 blocks, the second of one term.
-        "truncated": ([spec.count for spec in cut], cut[0].summand, 128),
+        "truncated": ([cut1, cut2], cut_tau, 128),
         # A count with no term beyond the empty sum runs beside a real one.
-        "point-zero": ([Pmf.point(0), dense[1].count], dense[1].summand, 1024),
+        "point-zero": ([Pmf.point(0), dense2], dense_tau, 1024),
     }
 
 
@@ -420,7 +436,7 @@ def test_shared_powers_are_bit_identical(case):
     shared = pmf_stopped_sums(counts, summand, k_max, 1e-10)
     assert len(shared) == len(counts)
     for got, count in zip(shared, counts):
-        alone = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max, 1e-10)
+        alone = pmf_stopped_sum(count, summand, k_max, 1e-10)
         assert np.array_equal(got.mass, alone.mass)
         assert (got.tail_mass, got.tail_lo) == (alone.tail_mass, alone.tail_lo)
         assert_matches_full_loop(got, count, summand, k_max, 1e-10)
@@ -432,9 +448,9 @@ def test_grid_entries_do_not_depend_on_the_grid_length():
     # a longer grid repeats a shorter one bit for bit.
     rng = np.random.default_rng(3)
     count, summand = Pmf(rng.dirichlet(np.ones(150))), Pmf(rng.dirichlet(np.ones(40)))
-    short = pmf_stopped_sum(StoppedSumSpec(count, summand), 64, 1e-300)
+    short = pmf_stopped_sum(count, summand, 64, 1e-300)
     for k_max in (65, 100, 257, 1024):
-        longer = pmf_stopped_sum(StoppedSumSpec(count, summand), k_max, 1e-300)
+        longer = pmf_stopped_sum(count, summand, k_max, 1e-300)
         assert np.array_equal(longer.mass[:65], short.mass), k_max
 
 

@@ -16,7 +16,6 @@ from rigclust import (
     LimitLaws,
     ModelParams,
     Pareto,
-    StoppedSumSpec,
     mixing_spec,
     pmf_mixed_poisson,
     pmf_offspring,
@@ -149,7 +148,7 @@ def test_stopped_sum_means_obey_wald(pareto_laws):
     # the closed route has mean sqrt(beta) a_1 b_2 / b_1 instead.
     params, laws = pareto_laws
     count0 = pmf_mixed_poisson(mixing_spec(params, "actor", 0), 1024, 1e-10)
-    deg0 = pmf_stopped_sum(StoppedSumSpec(count0, laws.tau), 1024, 1e-10)
+    deg0 = pmf_stopped_sum(count0, laws.tau, 1024, 1e-10)
     assert deg0.mean() == pytest.approx(params.a(2) * params.b(1) ** 2, rel=1e-5)
 
     beta = params.beta
@@ -224,8 +223,8 @@ def test_limit_laws_build_one_kernel_block_per_panel_per_side(monkeypatch):
     assert sum(shared.values()) < 0.5 * separate_calls
 
     _, lam2, lam3, count1, count2 = alone
-    d1 = pmf_stopped_sum(StoppedSumSpec(count1, tau), 256, 1e-10)
-    d2 = pmf_stopped_sum(StoppedSumSpec(count2, tau), 256, 1e-10)
+    d1 = pmf_stopped_sum(count1, tau, 256, 1e-10)
+    d2 = pmf_stopped_sum(count2, tau, 256, 1e-10)
     for got, want in ((laws.tau, tau), (laws.lam2, lam2), (laws.lam3, lam3),
                       (laws.d1, d1), (laws.d2, d2)):
         assert np.array_equal(got.mass, want.mass) and got.tail_mass == want.tail_mass
@@ -270,7 +269,7 @@ def test_limit_laws_convolve_each_power_of_tau_once(monkeypatch):
     alone = []
     for count in counts:
         calls.clear()
-        pmf_stopped_sum(StoppedSumSpec(count, tau), 1024, 1e-10)
+        pmf_stopped_sum(count, tau, 1024, 1e-10)
         alone.append(len(calls))
         assert ss._truncation(count, 1e-10)[0] >= ss._BLOCK
     calls.clear()
@@ -464,6 +463,18 @@ def test_theory_curve_stays_asymptotic_after_first_loose_row(monkeypatch):
     monkeypatch.setattr(laws, "tail_weights", loose_at_five)
     rows = th._curve_rows(laws, list(range(2, 9)))
     assert [row.asymptotic for row in rows] == [False] * 3 + [True] * 4
+
+
+def test_coefficient_without_closed_route_mass():
+    # No closed-route weight: c_pred is 0 while the open route has mass, and
+    # undefined when neither route has any.
+    assert th._c_from_weights(1.0, 0.0, 0.3) == 0.0
+    assert th._c_from_weights(1.0, 0.0, 0.0) is None
+
+
+def test_empty_interval_is_unreliable():
+    assert th._interval_unreliable(th.Interval(0.0, 0.0))
+    assert not th._interval_unreliable(th.Interval(1.0, 1.05))
 
 
 def test_curve_rows_leave_out_a_loose_degree_two():

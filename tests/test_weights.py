@@ -64,6 +64,15 @@ def test_pareto_truncated_moment_closed_form():
                 assert abs(got - expect) <= 1e-13 * expect
 
 
+def test_pareto_near_critical_moments_match_quadrature():
+    # tail_index - r < 0.1 takes the log-space branch of both moments.
+    law = Pareto(2.0, 4.05)
+    assert law.moment(4) == pytest.approx(pareto_truncated_quad(2.0, 4.05, 4, 2.0), rel=1e-9)
+    for t in (3.0, 50.0):
+        assert law.truncated_moment(4, t) == pytest.approx(
+            pareto_truncated_quad(2.0, 4.05, 4, t), rel=1e-9)
+
+
 def test_pareto_tail_properties():
     law = Pareto(2.0, 7.0)
     assert law.tail(1.0) == 1.0
