@@ -286,8 +286,8 @@ def fit_delta(points, window: tuple[float, float]) -> FitResult:
     """Least squares of log(value) on log(k) within the inclusive window.
 
     ``points`` is an iterable of (k, value); needs at least three in-window
-    points, all with k and value positive and finite.  A nan k belongs to no
-    window, so it is rejected wherever it appears.
+    points at two or more k, all with k and value positive and finite.  A nan
+    k belongs to no window, so it is rejected wherever it appears.
     """
     lo, hi = window
     ks, vs = [], []
@@ -299,6 +299,8 @@ def fit_delta(points, window: tuple[float, float]) -> FitResult:
             vs.append(math.log(v))
     if len(ks) < 3:
         raise ValueError(f"need at least 3 points inside window {window}, have {len(ks)}")
+    if len(set(ks)) < 2:
+        raise ValueError(f"need at least 2 distinct k inside window {window}, have 1")
     x = np.array(ks)
     y = np.array(vs)
     slope, intercept = np.polyfit(x, y, 1)

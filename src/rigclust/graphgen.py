@@ -9,8 +9,9 @@ both returning the links as one CSR over attributes (:class:`BipartiteSample`):
   streams make the scan embarrassingly parallel *and* reproducible: the
   output depends only on (params, seed), never on how rows are scheduled.
 * ``fast`` -- block sampling: attributes and actors are each split into
-  weight classes spanning a factor of 2, and every (attribute class, actor
-  class) block is drawn from one Philox stream keyed by (seed, block id).
+  weight classes (top / 2**(k+1), top / 2**k] below their global maximum
+  ``top``, ids in id order within a class, and every (attribute class,
+  actor class) block is drawn from one Philox stream keyed by (seed, block id).
   Inside a block, candidate pairs are found by geometric skipping over the
   flattened block at the block's maximum link probability p_max and kept
   with probability p_ij / p_max (at least 1/4).  Blocks are walked in
@@ -134,30 +135,25 @@ def _links_reference(x: np.ndarray, y: np.ndarray, seed: int) -> tuple[np.ndarra
     return _rows_csr(np.concatenate(keys), m, n)
 
 
-def _weight_buckets(t_sorted: np.ndarray) -> list[tuple[int, int, float]]:
-    """(start, end, cap) ranges over descending weights, each spanning at
-    most a factor of 2 so a block's accept ratio stays >= 1/4; weights <= 0
-    are left out."""
-    buckets = []
-    start = 0
-    n = t_sorted.size
-    while start < n:
-        cap = t_sorted[start]
-        if cap <= 0.0:
-            break  # the remaining weights can never link
-        end = int(np.searchsorted(-t_sorted, -cap / 2.0, side="left"))
-        end = max(end, start + 1)
-        buckets.append((start, end, float(cap)))
-        start = end
-    return buckets
-
-
 def _sorted_buckets(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Ids by descending weight, their weights, and the
-    :func:`_weight_buckets` ranges over them."""
-    order = np.argsort(-w, kind="stable")
-    w_sorted = w[order]
-    return order, w_sorted, _weight_buckets(w_sorted)
+    """Ids in class order, their weights, and (start, end, cap) ranges.
+
+    Class k holds the positive weights in (cap / 2, cap], cap = top / 2**k
+    with ``top = w.max()``, so a block's accept ratio stays >= 1/4.  Its k =
+    floor(log2(top / w)) comes from frexp, as ``top / w`` can overflow, and a
+    stable (radix) sort of the small-int classes keeps ids in id order.
+    """
+    top = float(w.max())
+    top_mant, top_expo = math.frexp(top)
+    mant, expo = np.frexp(w)
+    k = np.where(w > 0.0, top_expo - expo - (mant > top_mant), -1)
+    last = int(k.max())
+    key = k.astype(np.min_scalar_type(last + 1))  # -1 wraps to a key past every class
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key)[:last + 1]).tolist()
+    buckets = [(start, end, math.ldexp(top, -c))
+               for c, (start, end) in enumerate(zip([0] + ends, ends)) if end > start]
+    return order, w[order], buckets
 
 
 def _bucket_candidates(rng: np.random.Generator, size: int, p: float) -> np.ndarray:

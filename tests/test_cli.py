@@ -366,6 +366,14 @@ def test_fit_delta_data_errors(tmp_path, capsys, content, match):
     assert match in err
 
 
+def test_fit_delta_single_k_exit_two(tmp_path, capsys):
+    path = tmp_path / "same.csv"
+    path.write_text("k,value\n4,1\n4,0.5\n4,0.25\n")
+    code, out, err = run_main(["fit-delta", str(path), "--window", "4", "4"], capsys)
+    assert code == EXIT_DATA and out == ""
+    assert err == "error: need at least 2 distinct k inside window (4.0, 4.0), have 1\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_fit_delta_non_finite_value_exit_two(tmp_path, capsys, value):
     path = tmp_path / "curve.csv"

@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,16 @@ def test_fit_delta_needs_three_points_and_positive_data():
         fit_delta([(10, 1.0), (20, 2.0)], (5, 100))
     with pytest.raises(ValueError, match="positive"):
         fit_delta([(10, 1.0), (20, 0.0), (30, 1.0)], (5, 100))
+
+
+def test_fit_delta_needs_two_distinct_k():
+    # One k gives no slope; polyfit would only warn that the fit is rank
+    # deficient and return one anyway.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least 2 distinct k"):
+            fit_delta([(4, 1.0), (4, 0.5), (4, 0.25)], (4, 4))
+        assert fit_delta([(4, 1.0), (4, 0.5), (8, 0.25)], (4, 8)).n_points == 3
 
 
 @pytest.mark.parametrize("points,window", [

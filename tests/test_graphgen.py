@@ -68,17 +68,17 @@ LINK_PINS = [  # (generator, n = m, seed, (x law, y law), sha256 of the link row
     ("reference", 300, 2**63 + 11, PARETO,
      "a2f5951672fe07da38ae60f7b1c078c228c51514b0be4574cec2276c8aa967ad"),
     ("fast", 300, 11, PARETO,
-     "7380d57953876dae834d66f8a939d989cd93e1be6a21deccd421daff0a4115e8"),
+     "54e1916d44d7f4cad67b252bf1c73e786346a89da648f6fdf845dfc1ee62b2bf"),
     ("fast", 300, 2**63 + 11, PARETO,
-     "bd4fe7ab888180a52868862c9be7979a1022b7d693cf55e67ec415752572f8ed"),
+     "f58fb5b29e531b57ae32a0dbe5df044e1fd641155c718acdaea0d6e0d2f884e1"),
     ("fast", 20000, 11, PARETO,
-     "33d84b3c68e44c27f30878c02cd03d5b95263295d7024d930322e4968de6edc6"),
+     "b7664dc4fd3f75fae045d7466e10bc45a445ffc08c914965b2cb51acb2042d1e"),
     ("reference", 300, 11, POINT_MASSES,
      "fe0c9030815c6e84917fdbc348c1772706763bb16d4b440c61880d53bdd607b6"),
     ("fast", 300, 11, POINT_MASSES,
      "d5da7a10577f0a6cbde63124e4a38b8aeb044d41cb3c2f60a89a259991198492"),
     ("fast", 300, 11, TWO_ATOMS,
-     "5ac93ccbd48961c3bd5925e66d95fd987b7b0bd08ebef7d7911f453bf07d2ac5"),
+     "a07df2f442b6ff4f7dd2d133f551bdf13942830f729a78cb2941d3a8bbaff83f"),
 ]
 
 
@@ -104,7 +104,7 @@ def test_projection_is_pinned():
     g = project(sample_bipartite(params, 11, "fast"))
     h = hashlib.sha256(g.indptr.astype("<i8").tobytes())
     h.update(g.neighbors.astype("<i8").tobytes())
-    assert h.hexdigest() == "dfdbc5abceca2a5b1fe408f82dcc0cd627b7f2d0d50a5b8d6bc118bc12c20fcf"
+    assert h.hexdigest() == "d6b7f18a494c99654794773a1c47f9eb08f58167a9e5637514ff6b50d0e97e23"
 
 
 def test_links_view_is_read_only_csr():
@@ -207,27 +207,55 @@ def test_generators_agree_on_mean_link_count():
 # Fast-path internals: buckets and geometric skipping
 # ---------------------------------------------------------------------------
 
+def check_classes(w):
+    """The (start, end, cap) classes of `w` against their definition."""
+    order, w_sorted, buckets = gg._sorted_buckets(w)
+    assert np.array_equal(w_sorted, w[order])
+    top = w.max()
+    covered = []
+    for (_, e0, cap0), (s1, _, cap1) in zip(buckets, buckets[1:]):
+        assert e0 == s1 and cap0 > cap1  # contiguous, in class order
+    for start, end, cap in buckets:
+        assert start < end
+        # cap = top / 2**k for a class k >= 0
+        assert cap <= top and cap == math.ldexp(top, math.frexp(cap)[1] - math.frexp(top)[1])
+        ids = order[start:end]
+        assert np.all(np.diff(ids) > 0)  # id order within a class
+        assert np.all(w[ids] <= cap) and np.all(w[ids] > cap / 2)
+        covered.append(ids)
+    ids = np.concatenate(covered) if covered else np.empty(0, dtype=np.int64)
+    assert np.array_equal(np.sort(ids), np.flatnonzero(w > 0))
+    return [(cap, order[start:end].tolist()) for start, end, cap in buckets]
+
+
 def test_weight_buckets_partition_within_factor_two():
     rng = np.random.default_rng(2024)
     for _ in range(25):
-        t = np.sort(rng.pareto(3.0, size=rng.integers(1, 200)) + 0.01)[::-1]
-        buckets = gg._weight_buckets(t)
-        assert buckets[0][0] == 0
-        for (s0, e0, _), (s1, _, _) in zip(buckets, buckets[1:]):
-            assert e0 == s1  # contiguous
-        for start, end, cap in buckets:
-            assert start < end
-            assert cap == t[start]
-            chunk = t[start:end]
-            assert np.all(chunk <= cap)
-            assert np.all(chunk > cap / 2.0)  # accept ratio stays >= 1/2
+        w = rng.pareto(3.0, size=rng.integers(1, 200)) + 0.01
+        w[rng.random(w.size) < 0.1] = 0.0
+        check_classes(w)
 
 
 def test_weight_buckets_drop_zero_tail():
-    t = np.array([4.0, 3.0, 0.0, 0.0])
-    buckets = gg._weight_buckets(t)
-    assert [(s, e) for s, e, _ in buckets] == [(0, 2)]
-    assert gg._weight_buckets(np.zeros(3)) == []
+    assert check_classes(np.array([0.0, 3.0, 0.0, 4.0])) == [(4.0, [1, 3])]
+    assert gg._sorted_buckets(np.zeros(3))[2] == []
+
+
+def test_sorted_buckets_put_powers_of_two_on_the_closed_side():
+    # Class k is (top / 2**(k+1), top / 2**k]: an exact power of two below
+    # the top closes its class, the next float above it opens the class
+    # before.
+    w = np.array([1.0, 8.0, 4.0, np.nextafter(4.0, 5.0), 2.0, np.nextafter(1.0, 0.0)])
+    assert check_classes(w) == [(8.0, [1, 3]), (4.0, [2]), (2.0, [4]), (1.0, [0, 5])]
+
+
+def test_sorted_buckets_where_top_over_weight_overflows():
+    # top / w is inf here; the frexp exponents still give the class
+    # floor(log2(1e600)) = 1993, not the class before the first.
+    w = np.array([1e-300, 1e300, 3e299])
+    classes = check_classes(w)
+    assert classes[:2] == [(1e300, [1]), (5e299, [2])]
+    assert classes[2] == (math.ldexp(1e300, -1993), [0])
 
 
 def test_bucket_candidates_full_at_probability_one():
