@@ -41,7 +41,6 @@ from .theory import (
     degree_tail_asymptotic,
     delta_exponent,
     ratio_from_coefficient,
-    tail_ratio_constant,
     tail_weight_asymptotics,
     theory_curve,
 )

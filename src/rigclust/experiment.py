@@ -89,10 +89,14 @@ def parse_law(text: str) -> WeightLaw:
                          "pareto(x_min, alpha), degenerate(v), or finite([(v,p),...])")
     name, body = m.group(1).lower(), m.group(2).strip()
     try:
+        args = ast.literal_eval(body if name == "finite" else f"({body},)")
+    except (ValueError, SyntaxError, TypeError) as exc:
+        # literal_eval's own message can name a syntax node by its address.
+        raise UsageError(f"cannot parse weight law {text!r}: its arguments "
+                         "must be number literals") from exc
+    try:
         if name == "finite":
-            atoms = ast.literal_eval(body)
-            return Finite(tuple((float(v), float(p)) for v, p in atoms))
-        args = ast.literal_eval(f"({body},)")
+            return Finite(tuple((float(v), float(p)) for v, p in args))
         if name == "pareto":
             if len(args) != 2:
                 raise UsageError(f"pareto takes two arguments, got {len(args)}")
@@ -102,7 +106,7 @@ def parse_law(text: str) -> WeightLaw:
         return Degenerate(float(args[0]))
     except UsageError:
         raise
-    except (ValueError, SyntaxError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"cannot parse weight law {text!r}: {exc}") from exc
 
 
@@ -310,12 +314,14 @@ def fit_delta(points, window: tuple[float, float]) -> FitResult:
     return FitResult(float(slope), float(intercept), r2, (lo, hi), len(ks))
 
 
-def default_delta_window(pooled: ClusteringSpectrum,
-                         min_cherries: int = 30) -> tuple[int, int] | None:
+_MIN_CHERRIES = 30
+
+
+def default_delta_window(pooled: ClusteringSpectrum) -> tuple[int, int] | None:
     """Upper half of the degrees whose pooled cherry count reaches
-    ``min_cherries``; None when fewer than three such degrees exist."""
+    ``_MIN_CHERRIES``; None when fewer than three such degrees exist."""
     ks = [k for k in range(2, pooled.max_degree + 1)
-          if pooled.cherry_sum[k] >= min_cherries]
+          if pooled.cherry_sum[k] >= _MIN_CHERRIES]
     if len(ks) < 3:
         return None
     upper = ks[len(ks) // 2:]

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .weights import DomainError, ModelParams, Pareto, WeightLaw
+from .weights import DomainError, Finite, ModelParams, Pareto, WeightLaw
 
 __all__ = [
     "Pmf",
@@ -315,17 +315,12 @@ def _support_window(rate_lo: float, rate_hi: float) -> tuple[int, int]:
 # Atomic mixing laws: exact finite mixtures
 # ---------------------------------------------------------------------------
 
-def _atomic_mixture(atoms, scale: float, r: int, k_max: int) -> Pmf:
+def _atomic_mixture(law: Finite, scale: float, r: int, k_max: int) -> Pmf:
     log_fact = _log_factorials(k_max)
     index = np.arange(k_max + 1.0)
-    tilt = [p * v**r for v, p in atoms]
-    norm = math.fsum(tilt)
-    if norm <= 0.0:
-        raise ValueError("mixing law has no mass above zero after tilting")
     mass = np.zeros(k_max + 1)
     tail = 0.0
-    for (v, _), q in zip(atoms, tilt):
-        q /= norm
+    for v, q in law.size_biased(r).atoms:
         if q == 0.0:
             continue
         rate = scale * v
@@ -535,7 +530,7 @@ def pmf_mixed_poissons(specs: Sequence[MixingSpec], k_max: int,
     with np.errstate(under="ignore"):
         if isinstance(law, Pareto):
             return _pareto_mixtures(law, scale, orders, k_max, tol)
-        return [_atomic_mixture(law.atoms, scale, r, k_max) for r in orders]
+        return [_atomic_mixture(law, scale, r, k_max) for r in orders]
 
 
 def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:

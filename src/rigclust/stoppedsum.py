@@ -52,7 +52,7 @@ def _convolve_raw(p: np.ndarray, q: np.ndarray, k_max: int) -> tuple[np.ndarray,
     return np.ascontiguousarray(full[:k_max + 1]), pushed
 
 
-def convolve(p: Pmf, q: Pmf, k_max: int | None = None) -> Pmf:
+def convolve(p: Pmf, q: Pmf, k_max: int) -> Pmf:
     """Distribution of the sum of independent draws from ``p`` and ``q``.
 
     ``tail_mass`` of the result is ``p.tail_mass + q.tail_mass`` plus whatever
@@ -61,11 +61,8 @@ def convolve(p: Pmf, q: Pmf, k_max: int | None = None) -> Pmf:
     mass (the grid part only ever undercounts), so the smaller one is the
     honest choice and normalization survives even fat input tails.
     ``tail_lo`` adds the pushed mass to the chance that either draw is past
-    its grid, ``lo_p + lo_q - lo_p * lo_q``.  The default grid covers the full
-    sum support.
+    its grid, ``lo_p + lo_q - lo_p * lo_q``.
     """
-    if k_max is None:
-        k_max = p.k_max + q.k_max
     mass, pushed = _convolve_raw(p.mass, q.mass, k_max)
     # A draw is known to lie past k_max only if its grid reaches k_max.
     lo_p, lo_q = (x.tail_lo if x.k_max >= k_max else 0.0 for x in (p, q))
@@ -158,19 +155,15 @@ def pmf_stopped_sums(counts: Sequence[Pmf], summand: Pmf, k_max: int,
     return out
 
 
-def pmf_stopped_sum(count: Pmf, summand: Pmf, k_max: int | None = None,
+def pmf_stopped_sum(count: Pmf, summand: Pmf, k_max: int,
                     tol: float = 1e-10) -> Pmf:
     """Pmf of ``sum_{j <= N} tau_j`` for ``N ~ count``, ``tau ~ summand``.
 
     The count is truncated at the smallest i with P(N > i) + ``count.tail_mass``
     < tol; the remaining count probability joins the tail bound, as do the
-    summand tail bounds and any convolution mass beyond the grid.  The
-    default grid covers the full sum support ``count.k_max * summand.k_max``,
-    as in :func:`convolve`.  This is the one-count case of
-    :func:`pmf_stopped_sums`.
+    summand tail bounds and any convolution mass beyond the grid.  This is
+    the one-count case of :func:`pmf_stopped_sums`.
     """
-    if k_max is None:
-        k_max = count.k_max * summand.k_max
     return pmf_stopped_sums([count], summand, k_max, tol)[0]
 
 

@@ -23,7 +23,7 @@ reported as intervals because numeric pmfs carry tail bounds.
 For Pareto weight laws the module also provides the closed-form tail
 asymptotics of each ingredient and the induced power law
 
-    B(k) / A(k) ~ ratio_constant * k**delta,
+    B(k) / A(k) ~ const * k**delta,
     delta = clamp(alpha - gamma - 1, -1, 1),
 
 whose exponent switches regime at alpha = gamma + 2 (closed route) and
@@ -54,7 +54,6 @@ __all__ = [
     "degree_tail_asymptotic",
     "attribute_tail_asymptotic",
     "tail_weight_asymptotics",
-    "tail_ratio_constant",
     "is_pareto_pair",
     "pareto_delta",
     "TheoryRow",
@@ -320,15 +319,6 @@ def _leading(terms: list[tuple[float, float]]) -> tuple[float, float]:
     return const, top
 
 
-def _closed_tail_terms(params: ModelParams) -> list[tuple[float, float]]:
-    return [_degree_tail_constant(params, 1), _attribute_tail_constant(params, 3)]
-
-
-def _open_tail_terms(params: ModelParams) -> list[tuple[float, float]]:
-    c2, e2 = _attribute_tail_constant(params, 2)
-    return [_degree_tail_constant(params, 2), (c2, e2), (c2, e2)]
-
-
 def tail_weight_asymptotics(params: ModelParams, k: float) -> tuple[float, float]:
     """Leading-order tails of the two route laws (before prefactors).
 
@@ -337,26 +327,10 @@ def tail_weight_asymptotics(params: ModelParams, k: float) -> tuple[float, float
     Open route: k**(2-gamma) versus two copies of k**(2-alpha), crossing at
     alpha = gamma.  Exact ties (relative 1e-9) sum both constants.
     """
-    ca, ea = _leading(_closed_tail_terms(params))
-    cb, eb = _leading(_open_tail_terms(params))
+    ca, ea = _leading([_degree_tail_constant(params, 1), _attribute_tail_constant(params, 3)])
+    attribute2 = _attribute_tail_constant(params, 2)
+    cb, eb = _leading([_degree_tail_constant(params, 2), attribute2, attribute2])
     return ca * _positive(k) ** ea, cb * _positive(k) ** eb
-
-
-def tail_ratio_constant(params: ModelParams) -> float:
-    """Constant c with B(k)/A(k) -> c * k**delta, including route prefactors.
-
-    Reconstructed from the leading tail constants of each route; at regime
-    ties the tied constants add, matching the sum rule for independent
-    heavy-tailed summands.
-    """
-    x, y = _pareto_pair(params)
-    ca, ea = _leading(_closed_tail_terms(params))
-    cb, eb = _leading(_open_tail_terms(params))
-    pa, pb = _route_prefactors(params)
-    delta = delta_exponent(x.tail_index, y.tail_index)
-    if abs((eb - ea) - delta) > 1e-9:
-        raise AssertionError("internal regime split disagrees with the exponent formula")
-    return pb * cb / (pa * ca)
 
 
 # ---------------------------------------------------------------------------

@@ -91,27 +91,6 @@ class Pareto:
             return 1.0
         return (self.x_min / t) ** self.tail_index
 
-    def truncated_moment(self, r: int, t: float) -> float:
-        r = _check_order(r)
-        alpha = self.tail_index
-        if r >= alpha:
-            raise InfiniteMomentError(
-                f"E[Z^{r}; Z > t] is infinite for Pareto tail index {alpha}"
-            )
-        if t <= self.x_min:
-            # All mass sits above x_min, so the truncation does not bite...
-            # except exactly at t = x_min where Z > t excludes nothing (the law
-            # has no atom at x_min).
-            return self.moment(r)
-        if alpha - r < 0.1:
-            return math.exp(
-                math.log(alpha)
-                + alpha * math.log(self.x_min)
-                + (r - alpha) * math.log(t)
-                - math.log(alpha - r)
-            )
-        return alpha / (alpha - r) * self.x_min**alpha * t ** (r - alpha)
-
     def sample(self, rng: np.random.Generator, size=None):
         # Inverse CDF: x_min * u**(-1/alpha) for u uniform on (0, 1].
         # rng.random() lives in [0, 1); using 1 - u avoids mapping 0 to inf.
@@ -141,14 +120,15 @@ class Finite:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("Finite law needs at least one atom")
+        # Negated comparisons, so that a nan fails them.
+        for v, p in atoms:
+            if not 0 <= v < math.inf:
+                raise ValueError(f"atom value {v} must be nonnegative and finite")
+            if not 0 <= p <= 1:
+                raise ValueError(f"atom probability {p} must lie in [0, 1]")
         total = math.fsum(p for _, p in atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom probabilities sum to {total}, expected 1")
-        for v, p in atoms:
-            if v < 0 or not math.isfinite(v):
-                raise ValueError(f"atom value {v} must be nonnegative and finite")
-            if p < 0:
-                raise ValueError(f"atom probability {p} must be nonnegative")
 
     def moment(self, r: int) -> float:
         r = _check_order(r)
@@ -156,10 +136,6 @@ class Finite:
 
     def tail(self, t: float) -> float:
         return math.fsum(p for v, p in self.atoms if v > t)
-
-    def truncated_moment(self, r: int, t: float) -> float:
-        r = _check_order(r)
-        return math.fsum(p * v**r for v, p in self.atoms if v > t)
 
     def sample(self, rng: np.random.Generator, size=None):
         values = np.array([v for v, _ in self.atoms], dtype=np.float64)
@@ -182,8 +158,7 @@ class Finite:
 
 
 #: The closed pair of weight laws.  Each gives raw moments ``moment(r)``, the
-#: tail ``tail(t)`` = P(Z > t), truncated moments ``truncated_moment(r, t)`` =
-#: E[Z**r; Z > t], inverse-CDF ``sample(rng, size)`` and ``size_biased(r)``,
+#: tail ``tail(t)`` = P(Z > t), ``sample(rng, size)`` and ``size_biased(r)``,
 #: the law reweighted by z**r (identity for r = 0).
 WeightLaw = Pareto | Finite
 

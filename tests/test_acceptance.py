@@ -152,28 +152,7 @@ def test_pmfs_match_monte_carlo(announce):
 
 
 # ---------------------------------------------------------------------------
-# 3. Truncated Pareto moments are exact
-# ---------------------------------------------------------------------------
-
-def test_truncated_pareto_moments_closed_form(announce):
-    t0 = time.monotonic()
-    worst = 0.0
-    for alpha in (5.5, 6.0, 9.0):
-        for x_min in (1.0, 2.5):
-            law = Pareto(x_min, alpha)
-            for r in range(4):
-                for t in (x_min, 1.5 * x_min, 4.0 * x_min, 10.0 * x_min,
-                          100.0 * x_min):
-                    expect = alpha / (alpha - r) * x_min**alpha * t ** (r - alpha)
-                    got = law.truncated_moment(r, t)
-                    worst = max(worst, abs(got - expect) / expect)
-    elapsed = time.monotonic() - t0
-    announce(worst < 1e-12, "truncated moments",
-             f"worst relative error {worst:.2e} (limit 1e-12)", elapsed)
-
-
-# ---------------------------------------------------------------------------
-# 4. Tail asymptotics meet the numeric pmfs where the grid is still reliable
+# 3. Tail asymptotics meet the numeric pmfs where the grid is still reliable
 # ---------------------------------------------------------------------------
 
 def test_tail_asymptotics_meet_numeric_tails(sharp_laws, announce):
@@ -208,7 +187,7 @@ def test_tail_asymptotics_meet_numeric_tails(sharp_laws, announce):
 
 
 # ---------------------------------------------------------------------------
-# 5. Simulated clustering matches predictions at n = m = 10^4
+# 4. Simulated clustering matches predictions at n = m = 10^4
 # ---------------------------------------------------------------------------
 
 def test_simulation_matches_predictions(announce):
@@ -231,7 +210,7 @@ def test_simulation_matches_predictions(announce):
 
 
 # ---------------------------------------------------------------------------
-# 6. The decay exponent is recovered from both tail routes
+# 5. The decay exponent is recovered from both tail routes
 # ---------------------------------------------------------------------------
 
 def test_decay_exponent_recovered_from_tail_ratio(sharp_laws, announce):
@@ -274,7 +253,7 @@ def test_decay_exponent_recovered_from_tail_ratio(sharp_laws, announce):
 
 
 # ---------------------------------------------------------------------------
-# 7. Spectra equal exhaustive ordered-triple frequencies on random graphs
+# 6. Spectra equal exhaustive ordered-triple frequencies on random graphs
 # ---------------------------------------------------------------------------
 
 def test_spectra_equal_exhaustive_triple_frequencies(announce):
@@ -321,7 +300,7 @@ def test_spectra_equal_exhaustive_triple_frequencies(announce):
 
 
 # ---------------------------------------------------------------------------
-# 8. The two generators agree in law; reports are byte-stable
+# 7. The two generators agree in law; reports are byte-stable
 # ---------------------------------------------------------------------------
 
 def test_generators_agree_and_reports_are_byte_stable(tmp_path, announce):

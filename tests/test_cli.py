@@ -595,6 +595,26 @@ def test_bad_flag_value_gets_config_message(capsys):
     assert err == "error: config key n='ten' is not an integer\n"
 
 
+@pytest.mark.parametrize("command", ["theory", "simulate", "compare"])
+@pytest.mark.parametrize("law", ["finite([(1,'nan')])", "finite([(1,.5),(2,'nan')])"])
+def test_nan_atom_probability_exit_one(tmp_path, capsys, command, law):
+    code, _, err = run_main(
+        [command, *BASE, "--x-law", law, "--output-dir", str(tmp_path / "out")], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "atom probability nan" in err
+    assert err.count("\n") == 1
+
+
+def test_unparsable_law_message_is_the_same_every_run():
+    # literal_eval names an unknown name's syntax node by its address.
+    argv = [sys.executable, "-m", "rigclust", "theory", *BASE, "--x-law", "finite([(1,nan)])"]
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=120)
+            for _ in range(2)]
+    assert [proc.returncode for proc in runs] == [EXIT_USAGE, EXIT_USAGE]
+    assert runs[0].stderr == runs[1].stderr
+    assert "object at 0x" not in runs[0].stderr and runs[0].stderr.count("\n") == 1
+
+
 def test_closed_stdout_pipe_exits_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "rigclust", "theory", *BASE, "--k-max", "6"],

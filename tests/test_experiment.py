@@ -263,13 +263,13 @@ def spectrum_with_cherries(cherries):
 def test_default_delta_window_upper_half():
     s = spectrum_with_cherries([0, 0, 50, 50, 50, 50, 0, 40])
     # Eligible degrees: 2,3,4,5,7 -> upper half 4,5,7.
-    assert default_delta_window(s, min_cherries=30) == (4, 7)
+    assert default_delta_window(s) == (4, 7)
 
 
 def test_default_delta_window_last_three_fallback():
     s = spectrum_with_cherries([0, 0, 50, 50, 50, 50])
     # Eligible 2,3,4,5 -> upper half would be 2 long; falls back to last 3.
-    assert default_delta_window(s, min_cherries=30) == (3, 5)
+    assert default_delta_window(s) == (3, 5)
 
 
 def test_default_delta_window_needs_three_degrees():

@@ -112,7 +112,7 @@ def test_convolve_matches_brute_force():
         a = rng.dirichlet(np.ones(rng.integers(2, 9)))
         b = rng.dirichlet(np.ones(rng.integers(2, 9)))
         p, q = Pmf(a), Pmf(b)
-        res = convolve(p, q)
+        res = convolve(p, q, p.k_max + q.k_max)
         assert res.k_max == p.k_max + q.k_max
         assert np.allclose(res.mass, brute_convolve(p, q, res.k_max),
                            rtol=0, atol=1e-14)
@@ -132,7 +132,7 @@ def test_convolve_truncation_pushes_mass_to_tail():
 def test_convolve_combines_input_tails():
     p = Pmf(np.array([0.6, 0.3]), tail_mass=0.1)
     q = Pmf(np.array([0.8, 0.15]), tail_mass=0.05)
-    res = convolve(p, q)
+    res = convolve(p, q, 2)
     # The clipped bound is the grid deficit, slightly tighter than the sum
     # of the input tails (0.15) because tail-tail pairs are double counted.
     assert res.tail_mass == pytest.approx(1.0 - 0.9 * 0.95, abs=1e-12)
@@ -149,14 +149,24 @@ def test_convolve_tail_lo_by_inclusion_exclusion():
     assert res.tail_mass == pytest.approx(1.0 - 0.48 - 0.33, abs=1e-15)
     # On the full sum grid a draw beyond its own grid can still sum onto it,
     # so the input bounds do not count, and nothing is pushed.
-    assert convolve(p, q).tail_lo == 0.0
+    assert convolve(p, q, 2).tail_lo == 0.0
     # A grid that reaches k_max keeps its bound.
-    assert convolve(p, Pmf.point(0)).tail_lo == pytest.approx(0.05, abs=1e-15)
+    assert convolve(p, Pmf.point(0), 1).tail_lo == pytest.approx(0.05, abs=1e-15)
+
+
+def test_grid_is_required():
+    # The caller decides every grid length; no default falls back to the
+    # full sum support.
+    p = Pmf(np.array([0.5, 0.5]))
+    with pytest.raises(TypeError):
+        convolve(p, p)
+    with pytest.raises(TypeError):
+        pmf_stopped_sum(p, p)
 
 
 def test_convolve_identity_element():
     p = Pmf(np.array([0.2, 0.3, 0.5]))
-    res = convolve(p, Pmf.point(0))
+    res = convolve(p, Pmf.point(0), 2)
     assert np.allclose(res.mass, p.mass)
 
 
@@ -166,19 +176,19 @@ def test_convolve_identity_element():
 
 def test_zero_count_is_point_mass_at_zero():
     summand = Pmf(np.array([0.3, 0.7]))
-    res = pmf_stopped_sum(Pmf.point(0), summand)
+    res = pmf_stopped_sum(Pmf.point(0), summand, 0)
     assert res.mass[0] == pytest.approx(1.0)
 
 
 def test_unit_count_returns_summand():
     summand = Pmf(np.array([0.1, 0.2, 0.7]))
-    res = pmf_stopped_sum(Pmf.point(1), summand)
+    res = pmf_stopped_sum(Pmf.point(1), summand, 2)
     assert np.allclose(res.mass[:3], summand.mass, atol=1e-15)
 
 
 def test_fixed_count_is_iterated_convolution():
     summand = Pmf(np.array([0.5, 0.25, 0.25]))
-    res = pmf_stopped_sum(Pmf.point(3), summand)
+    res = pmf_stopped_sum(Pmf.point(3), summand, 6)
     expect = np.convolve(np.convolve(summand.mass, summand.mass), summand.mass)
     assert np.allclose(res.mass[: expect.size], expect, atol=1e-14)
 
@@ -186,7 +196,7 @@ def test_fixed_count_is_iterated_convolution():
 def test_unit_summands_reproduce_count_law():
     # Summing N copies of the constant 1 returns N itself.
     count = Pmf(np.array([0.1, 0.4, 0.3, 0.2]))
-    res = pmf_stopped_sum(count, Pmf.point(1))
+    res = pmf_stopped_sum(count, Pmf.point(1), 3)
     assert np.allclose(res.mass[:4], count.mass, atol=1e-14)
 
 
@@ -205,7 +215,7 @@ def test_stopped_sum_matches_brute_force():
 def test_wald_mean_identity():
     count = Pmf(np.array([0.2, 0.3, 0.3, 0.2]))
     summand = Pmf(np.array([0.25, 0.5, 0.25]))
-    res = pmf_stopped_sum(count, summand)
+    res = pmf_stopped_sum(count, summand, 6)
     assert res.mean() == pytest.approx(count.mean() * summand.mean(), rel=1e-12)
 
 

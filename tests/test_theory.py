@@ -25,7 +25,6 @@ from rigclust import (
     degree_tail_asymptotic,
     delta_exponent,
     ratio_from_coefficient,
-    tail_ratio_constant,
     tail_weight_asymptotics,
     theory_curve,
 )
@@ -388,19 +387,17 @@ def test_route_tails_sum_tied_components():
     assert bt == pytest.approx(expect, rel=1e-9)
 
 
-def test_tail_ratio_constant_consistency():
-    # The ratio constant describes the full weights B/A, i.e. it folds in the
-    # prefactor ratio on top of the prefactor-free route tails.
-    for alpha, gamma in ((9.0, 5.5), (7.0, 6.0), (6.6, 5.1), (8.0, 6.0)):
+def test_tail_weight_log_slope_is_delta():
+    # B/A decays as k**delta in every regime: both sides of each switch, the
+    # closed tie (8, 6), the open tie (7, 7) and the clamped side
+    # alpha < gamma + 1, (6, 6.5).  The route prefactors cancel in the slope.
+    for alpha, gamma in ((9.0, 5.5), (7.0, 6.0), (6.6, 5.1), (8.0, 6.0),
+                         (7.0, 7.0), (6.0, 6.5)):
         params = pareto_params(alpha, gamma)
-        const = tail_ratio_constant(params)
-        delta = delta_exponent(alpha, gamma)
-        pref_a = params.a(3) * params.b(1) ** 3
-        pref_b = params.a(2) ** 2 * params.b(1) ** 2 * params.b(2)
-        for k in (200.0, 2000.0):
-            at, bt = tail_weight_asymptotics(params, k)
-            assert (pref_b * bt) / (pref_a * at) == pytest.approx(
-                const * k**delta, rel=1e-9)
+        (a200, b200), (a2000, b2000) = (tail_weight_asymptotics(params, k)
+                                        for k in (200.0, 2000.0))
+        slope = math.log((b2000 / a2000) / (b200 / a200)) / math.log(10.0)
+        assert slope == pytest.approx(delta_exponent(alpha, gamma), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
