@@ -20,8 +20,9 @@ sum with count biased to order r, and ``L_r`` is the attribute-side mixed
 Poisson law biased to order r.  ``A``/``B`` replace "= k-2" by ">= k-2" and are
 reported as intervals because numeric pmfs carry tail bounds.
 
-For Pareto weight laws the module also provides the closed-form tail
-asymptotics of each ingredient and the induced power law
+For a Pareto pair whose tail indices both exceed 5 the module also provides
+the closed-form tail asymptotics of each ingredient, read off the tail of the
+size-biased weight law (``Pareto.size_biased``), and the induced power law
 
     B(k) / A(k) ~ const * k**delta,
     delta = clamp(alpha - gamma - 1, -1, 1),
@@ -54,7 +55,6 @@ __all__ = [
     "degree_tail_asymptotic",
     "attribute_tail_asymptotic",
     "tail_weight_asymptotics",
-    "is_pareto_pair",
     "pareto_delta",
     "TheoryRow",
     "theory_curve",
@@ -80,10 +80,6 @@ class Interval(NamedTuple):
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-def is_pareto_pair(params: ModelParams) -> bool:
-    return isinstance(params.x_law, Pareto) and isinstance(params.y_law, Pareto)
 
 
 def _require_fourth_moments(params: ModelParams) -> None:
@@ -235,59 +231,54 @@ def _C_from_tails(beta: float, A: Interval, B: Interval) -> Interval:
 # Pareto tail asymptotics
 # ---------------------------------------------------------------------------
 
-def _pareto_pair(params: ModelParams) -> tuple[Pareto, Pareto]:
-    if not is_pareto_pair(params):
-        raise TypeError("tail asymptotics need Pareto laws on both sides")
-    x, y = params.x_law, params.y_law
-    if x.tail_index <= 5 or y.tail_index <= 5:
-        raise ValueError("tail asymptotics assume both tail indices exceed 5")
-    return x, y
-
-
 def delta_exponent(alpha: float, gamma: float) -> float:
     """Exponent of the open/closed tail-weight ratio:
     clamp(alpha - gamma - 1, -1, 1).  Valid for tail indices above 5."""
     if alpha <= 5 or gamma <= 5:
-        raise ValueError("exponent formula assumes both tail indices exceed 5")
+        raise ValueError("closed forms assume both tail indices exceed 5")
     return min(max(alpha - gamma - 1.0, -1.0), 1.0)
+
+
+def _closed_form_delta(params: ModelParams) -> float:
+    """:func:`delta_exponent` of the pair: TypeError unless both laws are
+    Pareto, ValueError unless both tail indices exceed 5."""
+    x, y = params.x_law, params.y_law
+    if not (isinstance(x, Pareto) and isinstance(y, Pareto)):
+        raise TypeError("tail asymptotics need Pareto laws on both sides")
+    return delta_exponent(x.tail_index, y.tail_index)
 
 
 def pareto_delta(params: ModelParams) -> float | None:
     """:func:`delta_exponent` of a Pareto pair whose tail indices both exceed
-    5; None for any other pair of laws."""
-    if not is_pareto_pair(params):
-        return None
+    5; None for any other pair of laws.  Not None exactly where the closed
+    forms, and hence asymptotic rows, apply."""
     try:
-        return delta_exponent(params.x_law.tail_index, params.y_law.tail_index)
-    except ValueError:
+        return _closed_form_delta(params)
+    except (TypeError, ValueError):
         return None
 
 
-def _degree_tail_constant(params: ModelParams, r: int) -> tuple[float, float]:
-    """(constant, exponent) of P(D_r >= k) ~ constant * k**exponent."""
-    _, y = _pareto_pair(params)
-    gamma = y.tail_index
-    c_y = y.tail_amplitude
-    a2, b1 = params.a(2), params.b(1)
-    if r == 1:
-        return c_y * gamma / (gamma - 1.0) * a2 ** (gamma - 1.0) * b1 ** (gamma - 2.0), 1.0 - gamma
-    if r == 2:
-        b2 = params.b(2)
-        return (c_y * gamma / (gamma - 2.0) * a2 ** (gamma - 2.0)
-                * b1 ** (gamma - 2.0) / b2), 2.0 - gamma
-    raise ValueError(f"stopped-sum tail asymptotic implemented for r in {{1, 2}}, got {r}")
+def _tail_constant(params: ModelParams, role: str, r: int) -> tuple[float, float]:
+    """(constant, exponent) of P(D_r >= k) (``role='actor'``) or P(L_r >= k)
+    (``role='attribute'``) ~ constant * k**exponent.
 
-
-def _attribute_tail_constant(params: ModelParams, r: int) -> tuple[float, float]:
-    """(constant, exponent) of P(L_r >= k) ~ constant * k**exponent."""
-    x, _ = _pareto_pair(params)
-    alpha = x.tail_index
-    c_x = x.tail_amplitude
-    if r not in (2, 3):
-        raise ValueError(f"attribute tail asymptotic implemented for r in {{2, 3}}, got {r}")
-    const = (c_x * alpha / (alpha - r) * params.beta ** (0.5 * (r - alpha))
-             / params.a(r) * params.b(1) ** (alpha - r))
-    return const, r - alpha
+    Both are the tail of s * Z_r, where Z_r = ``law.size_biased(r)`` is the
+    order-r size-biased weight law, Pareto(x_min, index - r), so that
+    P(s * Z_r > k) = Z_r.tail_amplitude * s**Z_r.tail_index * k**-Z_r.tail_index.
+    L_r is mixed Poisson with s the attribute rate per unit weight of
+    :func:`mixing_spec`, E[Y] / sqrt(beta).  In D_r the count's heavy tail
+    dominates: the sum exceeds k essentially when the count exceeds
+    k / E[tau], so s is the actor rate per unit weight times E[tau], which is
+    E[X**2] * E[Y].
+    """
+    _closed_form_delta(params)
+    orders = (1, 2) if role == "actor" else (2, 3)
+    if r not in orders:
+        raise ValueError(f"{role} tail asymptotic implemented for r in {set(orders)}, got {r}")
+    spec = mixing_spec(params, role, r)
+    s = params.a(2) * params.b(1) if role == "actor" else spec.scale
+    z = spec.weight_law.size_biased(r)
+    return z.tail_amplitude * s**z.tail_index, -z.tail_index
 
 
 def _positive(k: float) -> float:
@@ -297,18 +288,16 @@ def _positive(k: float) -> float:
 
 
 def degree_tail_asymptotic(params: ModelParams, r: int, k: float) -> float:
-    """Closed-form tail approximation P(D_r >= k) for Pareto laws.
-
-    The count's heavy tail dominates: the sum exceeds k essentially when the
-    count exceeds k / E[offspring], which produces the constants below.
-    """
-    const, exp = _degree_tail_constant(params, r)
+    """Closed-form tail approximation P(D_r >= k), r in {1, 2}, from the
+    order-r size-biased actor weight law (see :func:`_tail_constant`)."""
+    const, exp = _tail_constant(params, "actor", r)
     return const * _positive(k) ** exp
 
 
 def attribute_tail_asymptotic(params: ModelParams, r: int, k: float) -> float:
-    """Closed-form tail approximation P(L_r >= k) for a Pareto attribute law."""
-    const, exp = _attribute_tail_constant(params, r)
+    """Closed-form tail approximation P(L_r >= k), r in {2, 3}, from the
+    order-r size-biased attribute weight law (see :func:`_tail_constant`)."""
+    const, exp = _tail_constant(params, "attribute", r)
     return const * _positive(k) ** exp
 
 
@@ -327,9 +316,10 @@ def tail_weight_asymptotics(params: ModelParams, k: float) -> tuple[float, float
     Open route: k**(2-gamma) versus two copies of k**(2-alpha), crossing at
     alpha = gamma.  Exact ties (relative 1e-9) sum both constants.
     """
-    ca, ea = _leading([_degree_tail_constant(params, 1), _attribute_tail_constant(params, 3)])
-    attribute2 = _attribute_tail_constant(params, 2)
-    cb, eb = _leading([_degree_tail_constant(params, 2), attribute2, attribute2])
+    ca, ea = _leading([_tail_constant(params, "actor", 1),
+                        _tail_constant(params, "attribute", 3)])
+    attribute2 = _tail_constant(params, "attribute", 2)
+    cb, eb = _leading([_tail_constant(params, "actor", 2), attribute2, attribute2])
     return ca * _positive(k) ** ea, cb * _positive(k) ** eb
 
 
@@ -361,10 +351,12 @@ def theory_curve(params: ModelParams, ks, k_max: int = DEFAULT_K_MAX,
 
     ``k_max`` caps the numeric grid: the laws come from one build of
     :func:`adaptive_limit_laws`, sized from the largest requested degree.
-    Uses the numeric route while the tail intervals stay tight (width at most
-    10% of the midpoint); for Pareto pairs it switches to the closed-form
-    asymptotics beyond that point, where point weights (and hence c_pred) are
-    no longer reported.
+    Where the closed forms apply (:func:`pareto_delta` is not None: a Pareto
+    pair with both tail indices above 5) the rows are numeric while the tail
+    intervals stay tight (width at most 10% of the midpoint), and past that
+    they are the closed-form asymptotics of the size-biased weight laws, with
+    no point weights (and hence no c_pred).  Any other pair keeps its numeric
+    rows, loose ones included, up to the grid.
     """
     ks = sorted(int(k) for k in ks)
     if ks and ks[0] < 2:
@@ -377,13 +369,14 @@ def _curve_rows(laws: LimitLaws, ks: list[int]) -> list[TheoryRow]:
     """Rows of :func:`theory_curve` for sorted degrees on the given laws.
 
     A row is numeric while its degree is on the grid, no earlier row is
-    asymptotic and, for a Pareto pair, both tail intervals are tight.  Past
-    that a Pareto pair gets the closed forms; any other pair has no honest
-    prediction there and gets no row.  Nor does k = 2, whose shifted
-    argument 0 is outside the closed forms.
+    asymptotic and, where the closed forms apply (:func:`pareto_delta` is not
+    None: a Pareto pair with both tail indices above 5), both tail intervals
+    are tight.  Past that such a pair gets the closed forms; any other pair
+    has no honest prediction there and gets no row.  Nor does k = 2, whose
+    shifted argument 0 is outside the closed forms.
     """
     params = laws.params
-    pareto = is_pareto_pair(params)
+    closed_forms = pareto_delta(params) is not None
     pa, pb = laws.closed_prefactor, laws.open_prefactor
     rows: list[TheoryRow] = []
     for k in ks:
@@ -391,11 +384,12 @@ def _curve_rows(laws: LimitLaws, ks: list[int]) -> list[TheoryRow]:
         if numeric:
             a, b = laws.point_weights(k)
             A, B = laws.tail_weights(k)
-            numeric = not pareto or not (_interval_unreliable(A) or _interval_unreliable(B))
+            loose = _interval_unreliable(A) or _interval_unreliable(B)
+            numeric = not (closed_forms and loose)
         if numeric:
             rows.append(TheoryRow(k, a, b, A, B, _c_from_weights(params.beta, a, b),
                                   _C_from_tails(params.beta, A, B), False))
-        elif pareto and k > 2:
+        elif closed_forms and k > 2:
             # Evaluate the closed forms at the same shifted argument k - 2.
             ta, tb = tail_weight_asymptotics(params, k - 2)
             A = Interval(pa * ta, pa * ta)

@@ -10,7 +10,7 @@ import pytest
 
 import rigclust.experiment as experiment
 import rigclust.spectrum as spectrum
-from rigclust import read_edge_list, triangle_counts
+from rigclust import ModelParams, Pareto, read_edge_list, triangle_counts
 from rigclust.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
@@ -22,6 +22,7 @@ from rigclust.cli import (
 )
 from rigclust.experiment import CONFIG_PARSERS
 from rigclust.mixedpoisson import QuadratureError
+from rigclust.theory import pareto_delta, tail_weight_asymptotics
 
 
 BASE = ["--n", "200", "--m", "200", "--beta", "1",
@@ -91,6 +92,33 @@ def test_loose_degree_two_row_is_left_out(tmp_path, capsys, command, flags):
         two, three = report[1].split(","), report[2].split(",")
         assert two[0] == "2" and two[6:9] == ["", "", ""]
         assert three[0] == "3" and three[7] != ""
+
+
+@pytest.mark.parametrize("command", ["theory", "compare"])
+def test_pareto_pair_without_closed_forms_keeps_numeric_rows(tmp_path, capsys, command):
+    # An actor tail index of 4.5 passes the fourth-moment gate but not the
+    # closed forms' "both indices exceed 5": the loose numeric rows stay, and
+    # degrees past the grid of 64 get no row rather than a traceback.
+    params = ModelParams(300, 300, 1.0, Pareto(1.0, 7.0), Pareto(1.0, 4.5))
+    assert pareto_delta(params) is None
+    with pytest.raises(ValueError):
+        tail_weight_asymptotics(params, 10.0)
+    out_dir = tmp_path / "out"
+    code, out, err = run_main(
+        [command, "--n", "300", "--m", "300", "--beta", "1", "--x-law", "pareto(1,7)",
+         "--y-law", "pareto(1,4.5)", "--k-min", "3", "--k-max", "100",
+         "--pmf-k-max", "64", "--replicates", "1", "--output-dir", str(out_dir)], capsys)
+    assert code == EXIT_OK and err == ""
+    if command == "theory":
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [int(row[0]) for row in rows] == list(range(3, 67))
+        assert all(row[1] != "" for row in rows)  # a present: every row numeric
+    else:
+        report = [line.split(",") for line in
+                  (out_dir / "report.csv").read_text().strip().split("\n")[1:]]
+        predicted = [row for row in report if row[7] != ""]  # C_pred_lo
+        assert [int(row[0]) for row in predicted] == list(range(3, 67))
+        assert all(row[6] != "" for row in predicted)  # c_pred: every row numeric
 
 
 # ---------------------------------------------------------------------------

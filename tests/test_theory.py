@@ -312,36 +312,46 @@ def test_delta_exponent_domain():
         delta_exponent(7.0, 4.9)
 
 
+#: (x_min of X, x_min of Y, beta) of the tail-constant checks.  The x_min
+#: other than 1 make c = x_min**index differ from 1, so a wrong power of
+#: x_min in any constant shows.
+TAIL_CONSTANT_CASES = [(1.0, 1.0, 1.3)] + [
+    (x_min, y_min, beta) for x_min in (0.5, 2.0) for y_min in (0.5, 2.0)
+    for beta in (1.3, 16.0)]
+
+
 def test_degree_tail_constant_formula():
     # Reimplementation of the stopped-sum tail constants from scratch.
-    params = pareto_params(6.6, 5.1, 1.3)
     gamma = 5.1
-    c_y = 1.0
-    a2 = params.a(2)
-    b1, b2 = params.b(1), params.b(2)
-    for k in (10.0, 100.0, 1234.5):
-        expect1 = c_y * gamma / (gamma - 1) * a2 ** (gamma - 1) \
-            * b1 ** (gamma - 2) * k ** (1 - gamma)
-        expect2 = c_y * gamma / (gamma - 2) * a2 ** (gamma - 2) \
-            * b1 ** (gamma - 2) / b2 * k ** (2 - gamma)
-        assert degree_tail_asymptotic(params, 1, k) == pytest.approx(expect1, rel=1e-12)
-        assert degree_tail_asymptotic(params, 2, k) == pytest.approx(expect2, rel=1e-12)
-    with pytest.raises(ValueError):
-        degree_tail_asymptotic(params, 3, 10.0)
+    for x_min, y_min, beta in TAIL_CONSTANT_CASES:
+        params = ModelParams(1000, 1000, beta, Pareto(x_min, 6.6), Pareto(y_min, gamma))
+        c_y = y_min**gamma
+        a2 = params.a(2)
+        b1, b2 = params.b(1), params.b(2)
+        for k in (10.0, 100.0, 1234.5):
+            expect1 = c_y * gamma / (gamma - 1) * a2 ** (gamma - 1) \
+                * b1 ** (gamma - 2) * k ** (1 - gamma)
+            expect2 = c_y * gamma / (gamma - 2) * a2 ** (gamma - 2) \
+                * b1 ** (gamma - 2) / b2 * k ** (2 - gamma)
+            assert degree_tail_asymptotic(params, 1, k) == pytest.approx(expect1, rel=1e-12)
+            assert degree_tail_asymptotic(params, 2, k) == pytest.approx(expect2, rel=1e-12)
+        with pytest.raises(ValueError):
+            degree_tail_asymptotic(params, 3, 10.0)
 
 
 def test_attribute_tail_constant_formula():
-    params = pareto_params(6.6, 5.1, 1.3)
-    alpha, beta = 6.6, 1.3
-    c_x = 1.0
-    b1 = params.b(1)
-    for r in (2, 3):
-        a_r = params.a(r)
-        for k in (10.0, 500.0):
-            expect = c_x * alpha / (alpha - r) * beta ** ((r - alpha) / 2) \
-                / a_r * b1 ** (alpha - r) * k ** (r - alpha)
-            assert attribute_tail_asymptotic(params, r, k) == pytest.approx(
-                expect, rel=1e-12)
+    alpha = 6.6
+    for x_min, y_min, beta in TAIL_CONSTANT_CASES:
+        params = ModelParams(1000, 1000, beta, Pareto(x_min, alpha), Pareto(y_min, 5.1))
+        c_x = x_min**alpha
+        b1 = params.b(1)
+        for r in (2, 3):
+            a_r = params.a(r)
+            for k in (10.0, 500.0):
+                expect = c_x * alpha / (alpha - r) * beta ** ((r - alpha) / 2) \
+                    / a_r * b1 ** (alpha - r) * k ** (r - alpha)
+                assert attribute_tail_asymptotic(params, r, k) == pytest.approx(
+                    expect, rel=1e-12)
 
 
 def test_tail_asymptotics_require_pareto_pair():
