@@ -18,11 +18,18 @@ CSV field over the ``csv`` module's size limit, or a ``nan`` k for
 or an allocation was refused.  ``simulate`` and ``compare`` run the
 replicates on at most ``--workers`` threads, and on at most one thread per
 replicate.
+
+A process entry (the ``rigclust`` console script, ``python -m rigclust``)
+calls :func:`main` without ``argv``; only then does ``main`` move the
+import-time heap into the cyclic GC's permanent generation, which spares
+interpreter finalization its full passes over numpy's and the package's
+objects.  Importing this module freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -213,6 +220,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    ``argv=None`` means a process entry, reading ``sys.argv``: the heap left
+    by the imports is then frozen (``gc.freeze``), so the collections at
+    exit skip it.  In-process callers pass ``argv`` and keep their heap as
+    it is."""
+    if argv is None:
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

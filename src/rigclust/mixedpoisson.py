@@ -42,7 +42,6 @@ gets alone.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -341,15 +340,30 @@ def _atomic_mixture(law: Finite, scale: float, r: int, k_max: int) -> Pmf:
 _MAX_DEPTH = 14
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 24-point Gauss-Legendre nodes and weights on [-1, 1], built on
-    first use, so a command that runs no quadrature never imports
-    ``numpy.polynomial``.  Read-only: every caller shares them."""
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+def _mirrored(half: list[str], sign: float) -> np.ndarray:
+    """The read-only rule array from its positive half, as hex literals."""
+    pos = [float.fromhex(h) for h in half]
+    out = np.array([sign * v for v in reversed(pos)] + pos)
+    out.setflags(write=False)
+    return out
+
+
+# The 24-point Gauss-Legendre rule on [-1, 1], bit for bit
+# ``numpy.polynomial.legendre.leggauss(24)``, which symmetrises its nodes and
+# weights, so the mirrored positive half is exact.  A table, so that no
+# command imports ``numpy.polynomial``.  Read-only: every panel shares it.
+_GL_NODES = _mirrored([
+    "0x1.0660853eda2e8p-4", "0x1.8769542b94f8dp-3", "0x1.429a8c588e910p-2",
+    "0x1.bc345d81e24b5p-2", "0x1.17417bac4d72bp-1", "0x1.4bd2ee5fa1086p-1",
+    "0x1.7af18edb9ddd6p-1", "0x1.a3d74ce0d3700p-1", "0x1.c5d841864d0f5p-1",
+    "0x1.e06585a70aa4dp-1", "0x1.f30f9f0cbf876p-1", "0x1.fd892de691982p-1",
+], -1.0)
+_GL_WEIGHTS = _mirrored([
+    "0x1.060475e763731p-3", "0x1.01b7117cf8bd6p-3", "0x1.f25cbce1d1fefp-4",
+    "0x1.d91c78acb1b27p-4", "0x1.b8177ba4a68d7p-4", "0x1.8fd8936444b19p-4",
+    "0x1.6108ef5044635p-4", "0x1.2c6d5c2eff05ap-4", "0x1.e5c6255d25e9dp-5",
+    "0x1.6ab884f57c940p-5", "0x1.d375514486effp-6", "0x1.9465bd311255dp-7",
+], 1.0)
 
 
 def _panel_widths(w: float, scale: float, ridge_end: float) -> float:
@@ -414,15 +428,14 @@ def _panel(lo: float, hi: float, scale: float, k_max: int, log_fact: np.ndarray,
            index: np.ndarray) -> _Panel:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes, weights = _gauss_legendre()
-    w = mid + half * nodes
+    w = mid + half * _GL_NODES
     rates = scale * w
     # Window from the panel *endpoints* so a child's window nests in its
     # parent's (node positions alone would not nest).
     s_lo, s_hi = _support_window(scale * lo, scale * hi)
     s_hi = min(s_hi, k_max)
     block = _poisson_rows(rates, s_lo, s_hi, log_fact, index) if s_lo <= s_hi else None
-    return _Panel(half * weights, w, rates, s_lo, block)
+    return _Panel(half * _GL_WEIGHTS, w, rates, s_lo, block)
 
 
 def _job_panel(job: _Job, panel: _Panel) -> tuple[int, np.ndarray, np.ndarray]:
@@ -441,7 +454,7 @@ def _pareto_mixtures(law: Pareto, scale: float, orders: list[int], k_max: int,
     states = [_Job(law, scale, r, k_max, tol) for r in orders]
     log_fact = _log_factorials(k_max)
     index = np.arange(k_max + 1.0)
-    n = _gauss_legendre()[0].size
+    n = _GL_NODES.size
 
     def settle(lo: float, mid: float, hi: float,
                jobs: list[_Job]) -> list[tuple[int, np.ndarray, float, float]]:

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, routing, and exit codes."""
 
+import gc
 import itertools
 import json
 import subprocess
@@ -556,8 +557,9 @@ def test_stats_imports_no_scipy(tmp_path):
      "--workers", "2", "--output-dir", "{out}"],
 ], ids=["theory", "compare", "compare-two-workers"])
 def test_theory_and_compare_import_no_scipy(argv, tmp_path):
-    # The theory is numpy-only, no command dedupes with np.unique, which
-    # imports numpy.ma, and runinfo.json reads no package metadata.  `theory`
+    # The theory is numpy-only, its Gauss-Legendre rule is a table, not
+    # numpy.polynomial, no command dedupes with np.unique, which imports
+    # numpy.ma, and runinfo.json reads no package metadata.  `theory`
     # writes no report; `compare` writes a report, and with two workers it
     # runs its replicates on threads, so it starts no process pool.
     argv = [a.format(out=tmp_path / "out") for a in argv]
@@ -567,7 +569,8 @@ def test_theory_and_compare_import_no_scipy(argv, tmp_path):
     script = ("import sys, rigclust.cli\n"
               f"code = rigclust.cli.main({argv!r})\n"
               f"print([m for m in sys.modules if m.split('.')[0] in {unused!r}"
-              " or m.split('.')[:2] in (['numpy', 'ma'], ['importlib', 'metadata'])],"
+              " or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial'],"
+              " ['importlib', 'metadata'])],"
               " code)")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
@@ -661,3 +664,30 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("k,a,b,")
+
+
+def test_in_process_main_freezes_nothing(tmp_path, capsys):
+    # Callers that pass argv (tests, the tracer) keep their heap collectable.
+    before = gc.get_freeze_count()
+    code, _, _ = run_main(
+        ["theory", *BASE, "--k-max", "4", "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == EXIT_OK
+    assert gc.get_freeze_count() == before
+
+
+def test_process_entry_freezes_the_import_heap(tmp_path, capsys):
+    # main() without argv is how the console script and `python -m rigclust`
+    # start: it freezes the import-time heap and writes the same bytes as
+    # main(argv).
+    args = ["theory", *BASE, "--k-max", "4", "--out"]
+    script = ("import gc, sys, rigclust.cli\n"
+              f"sys.argv = ['rigclust', *{args!r}, {str(tmp_path / 'entry.csv')!r}]\n"
+              "code = rigclust.cli.main()\n"
+              "print(gc.get_freeze_count(), code)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    frozen, code = map(int, proc.stdout.split())
+    assert frozen > 0 and code == EXIT_OK
+    assert run_main([*args, str(tmp_path / "argv.csv")], capsys)[0] == EXIT_OK
+    assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "argv.csv").read_bytes()

@@ -121,6 +121,13 @@ def test_pareto_mixing_biased_matches_reduced_index():
     assert pb.tail_mass == pytest.approx(pr.tail_mass, rel=1e-9, abs=1e-15)
 
 
+def test_gauss_legendre_table_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(mp._GL_NODES.view(np.int64), nodes.view(np.int64))
+    assert np.array_equal(mp._GL_WEIGHTS.view(np.int64), weights.view(np.int64))
+    assert not mp._GL_NODES.flags.writeable and not mp._GL_WEIGHTS.flags.writeable
+
+
 def test_pareto_tail_mass_matches_quadrature():
     # Small grid so the tail is macroscopic and easy to integrate directly.
     alpha, scale, k_max = 6.0, 1.2, 64
@@ -152,7 +159,7 @@ def test_pareto_tail_lo_covers_the_error_estimate(monkeypatch):
 
     def inflated(k_max, rates):
         out = tail(k_max, rates)
-        out[mp._gauss_legendre()[0].size:] *= 1.0 + 1e-6
+        out[mp._GL_NODES.size:] *= 1.0 + 1e-6
         return out
 
     monkeypatch.setattr(mp, "_poisson_upper_tail", inflated)
