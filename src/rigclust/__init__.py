@@ -19,10 +19,8 @@ from .weights import (
 from .mixedpoisson import (
     MixingSpec,
     Pmf,
-    QuadratureError,
     mixing_spec,
     pmf_mixed_poisson,
-    pmf_mixed_poissons,
     pmf_offspring,
     sample_biased,
 )

@@ -10,10 +10,10 @@ Subcommands:
 
 Exit codes: 0 success (also when the reader of stdout closes it early), 1
 usage error (including a ``tol`` outside (0, 1), ``--workers`` below 1, a
-reversed or ``nan`` ``--window`` and a config file that is not UTF-8),
-weight laws outside the theory's domain, or a quadrature that cannot reach
-``tol``, 2 malformed data (also an edge list or CSV that is not UTF-8, a
-CSV field over the ``csv`` module's size limit, or a ``nan`` k for
+reversed or ``nan`` ``--window``, ``--save-replicates`` without an output
+directory and a config file that is not UTF-8) or weight laws outside the
+theory's domain, 2 malformed data (also an edge list or CSV that is not
+UTF-8, a CSV field over the ``csv`` module's size limit, or a ``nan`` k for
 ``fit-delta``), 3 run too large: the edge budget aborted every replicate,
 or an allocation was refused.  ``simulate`` and ``compare`` run the
 replicates on at most ``--workers`` threads, and on at most one thread per
@@ -47,7 +47,6 @@ from .experiment import (
     write_replicates,
 )
 from .graphgen import EdgeBudgetError
-from .mixedpoisson import QuadratureError
 from .spectrum import (DataFormatError, clustering_spectrum, read_edge_list,
                        write_csv, write_spectrum_csv)
 from .theory import pareto_delta, theory_curve
@@ -100,6 +99,8 @@ def _cmd_theory(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
+    if config.save_replicates and not config.output_dir:
+        raise UsageError("--save-replicates needs --output-dir (or output_dir in the config)")
     sim = simulate(config, workers=args.workers)
     target = args.out
     if config.output_dir:
@@ -240,7 +241,7 @@ def main(argv=None) -> int:
         # error.  Point stdout at devnull so the flush at shutdown stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (UsageError, DomainError, QuadratureError) as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataFormatError as exc:

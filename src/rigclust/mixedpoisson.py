@@ -9,43 +9,31 @@ i.e. a Poisson law whose rate ``rate = scale * W`` is random (``W`` follows a
 :data:`~rigclust.weights.WeightLaw`), tilted by ``rate**r``.  The order-``r``
 tilt is the familiar size-biasing: the same law is obtained by mixing a plain
 Poisson over the ``r``-size-biased weight law, which is also how sampling and
-the quadrature below are organised.
+the closed form below are organised.
 
 Numeric pmfs are carried by :class:`Pmf`: a dense mass array on ``0..k_max``
 plus bounds ``tail_lo <= P(value > k_max) <= tail_mass``.  Downstream
 convolution code propagates both, so every tail probability read off a pmf
 comes with a two-sided interval certificate.
 
-Quadrature
-----------
-For a continuous (Pareto) mixing law the masses are integrals over the weight
-line.  They are computed with fixed-order Gauss-Legendre panels subdivided by
-two rules: panels must resolve the power-law/exponential variation of the
-mixing density, and -- crucially for deep-tail accuracy -- they must be no
-wider than the standard deviation of the Poisson kernel centred on the panel,
-so that every entry ``s`` keeps full *relative* precision, not merely the
-absolute ``tol`` demanded by the error estimator.  Each panel is accepted only
-if a bisected re-evaluation agrees within its error budget; the subdivision
-rule is deterministic, so results are bit-identical no matter how callers
-partition work.
-
-A panel's Poisson kernel depends on the weight law, its scale and the grid,
-not on the bias order, so :func:`pmf_mixed_poissons` integrates several bias
-orders of one weight law and scale on one grid in lockstep
-(``theory.LimitLaws`` makes one call per weight side).  A panel and its two
-halves each get one kernel block and one upper-tail evaluation, shared by
-every law that uses them.  Every law keeps its own panel edges, node weights,
-error budget, accept/refine decisions, order of additions and
-:class:`QuadratureError`, so each mass and tail is bit for bit what the law
-gets alone.
+Pareto mixtures
+---------------
+For a Pareto mixing law the masses have a closed form.  The rate of the
+order-r law is Pareto on [z, inf), z = scale * x_min, with tail index a =
+``tail_index - r``, so P(value = s) = a z**a Gamma(s - a, z) / s!: the
+upper incomplete gamma function (DLMF 8.2), run forward by its recurrence
+from where both terms of a step are nonnegative, and taken directly below
+that (the series DLMF 8.7.3 for z < 2, the continued fraction DLMF 8.9.2
+otherwise).  The masses are exact to rounding, and the mass beyond the grid
+is the Poisson tail at z plus a multiple of the first mass past the grid;
+see :func:`_pareto_mixture`.  A Finite mixing law is a finite sum of Poisson
+masses.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,24 +42,14 @@ from .weights import DomainError, Finite, ModelParams, Pareto, WeightLaw
 __all__ = [
     "Pmf",
     "MixingSpec",
-    "QuadratureError",
     "mixing_spec",
     "pmf_mixed_poisson",
-    "pmf_mixed_poissons",
     "pmf_offspring",
     "sample_biased",
 ]
 
 #: Tolerance on |sum(mass) + tail_mass - 1| accepted by Pmf.validate.
 NORMALIZATION_ATOL = 1e-9
-
-
-class QuadratureError(RuntimeError):
-    """Raised when panel refinement cannot reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 @dataclass(frozen=True)
@@ -285,29 +263,21 @@ def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
 
 
 def _tail_bounds(tail: float, k_max: int) -> tuple[float, float]:
-    """Lower and upper bounds on the true value of a sum ``tail`` of
-    :func:`_poisson_upper_tail` values with nonnegative weights, from the
-    relative margin (K + 1000) * 1e-15.  Against 60-digit sums, every tail
-    above 1e-300 for K up to 65536 is within a tenth of that margin; the
-    error comes from the log-space leading mass."""
+    """Lower and upper bounds on the true value of a tail ``tail`` beyond
+    ``k_max``, from the relative margin (K + 1000) * 1e-15.
+
+    The tail is a sum of :func:`_poisson_upper_tail` values with nonnegative
+    weights, plus, for Pareto mixing, (K + 1) m(K + 1) / a from the recurrence
+    of :func:`_pareto_mixture`.  Against 60-digit sums, every Poisson tail
+    above 1e-300 for K up to 65536 is within a tenth of the margin; the error
+    comes from the log-space leading mass.  A step of the recurrence adds two
+    nonnegative terms, so m(s + 1) carries the relative error of m(s) plus
+    about 4 ulp (the coefficient, the product, the sum), or that of its
+    log-space Poisson term if larger; over K steps that is below K * 1e-15,
+    and the start values, within 1.5e-13, stay below the constant part.
+    """
     margin = (k_max + 1000) * 1e-15
     return tail * (1.0 - margin), tail * (1.0 + margin)
-
-
-def _chernoff_tail(k_max: int, rate: float) -> float:
-    """Lower bound on P(Poisson(rate) > K) for K >= 1: Chernoff gives
-    P(Poisson(rate) <= K) <= exp(K - rate) (rate / K)**K once rate > K."""
-    if rate <= k_max:
-        return 0.0
-    return -math.expm1(k_max - rate + k_max * math.log(rate / k_max))
-
-
-def _support_window(rate_lo: float, rate_hi: float) -> tuple[int, int]:
-    """Index range outside which Poisson(rate) mass underflows for these rates;
-    the upper end is not clipped to any grid."""
-    spread_lo = 42.0 * math.sqrt(rate_lo + 1.0) + 60.0
-    spread_hi = 42.0 * math.sqrt(rate_hi + 1.0) + 60.0
-    return max(0, int(rate_lo - spread_lo)), int(rate_hi + spread_hi) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -334,232 +304,149 @@ def _atomic_mixture(law: Finite, scale: float, r: int, k_max: int) -> Pmf:
 
 
 # ---------------------------------------------------------------------------
-# Pareto mixing laws: deterministic adaptive panel quadrature, in lockstep
+# Pareto mixing laws: the incomplete-gamma closed form
 # ---------------------------------------------------------------------------
 
-_MAX_DEPTH = 14
+#: Euler's constant.
+_EULER_GAMMA = 0.5772156649015329
 
 
-def _mirrored(half: list[str], sign: float) -> np.ndarray:
-    """The read-only rule array from its positive half, as hex literals."""
-    pos = [float.fromhex(h) for h in half]
-    out = np.array([sign * v for v in reversed(pos)] + pos)
-    out.setflags(write=False)
+def _log_gamma_1p(eps: float) -> float:
+    """ln Gamma(1 + eps) for 0 < |eps| <= 1/2, to full relative accuracy
+    however small eps is: the zeta series -log1p(eps) + (1 - gamma) eps +
+    sum_{k>=2} (zeta(k) - 1) (-eps)**k / k, with each zeta(k) - 1 summed over
+    j < 128 plus its Euler-Maclaurin tail."""
+    k = np.arange(2.0, 40.0)
+    n = 128.0
+    zeta_1 = ((np.arange(2.0, n)[:, None] ** -k).sum(axis=0) + n ** (1.0 - k) / (k - 1.0)
+              + 0.5 * n ** -k + k * n ** (-k - 1.0) / 12.0
+              - k * (k + 1.0) * (k + 2.0) * n ** (-k - 3.0) / 720.0)
+    return -math.log1p(eps) + (1.0 - _EULER_GAMMA) * eps + float(zeta_1 @ ((-eps) ** k / k))
+
+
+def _gamma_cf(nu: float, z: float) -> float:
+    """e**z z**-nu Gamma(nu, z) for z >= 2 > nu: Legendre's continued fraction
+    (DLMF 8.9.2) in its even form, by modified Lentz (Press et al.,
+    *Numerical Recipes*, section 6.2)."""
+    tiny = 1e-300
+    b = z + 1.0 - nu
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 100_000):
+        an = -i * (i - nu)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= c * d
+        if abs(c * d - 1.0) <= 2.3e-16:
+            break
+    return h
+
+
+def _pareto_start(a: float, z: float, s_hi: int, log_fact: np.ndarray) -> list[float]:
+    """a z**a Gamma(s - a, z) / s! for s = 0..s_hi, one by one.
+
+    For z >= 2 this is the continued fraction.  Below 2 it is the series
+    (DLMF 8.7.3) z**a Gamma(nu, z) = z**a Gamma(nu) - sum_k (-1)**k
+    z**(s+k) / (k! (nu + k)), nu = s - a, on the powers z**j / j!, which
+    neither overflow nor lose digits in log space.  The term at the pole -n
+    of Gamma nearest nu (n = round(a) - s, so nu + n = eps = round(a) - a) is
+    folded into z**a Gamma(nu): with g(eps) = Gamma(1 + eps) prod_{j<=n}
+    j / (j - eps), both are z**(s+n) (-1)**n / n! times expm1(ln g(eps) -
+    eps ln z) / eps, which is psi(n + 1) - ln z at eps = 0 (an integer a).
+    """
+    log_z = math.log(z)
+    if z >= 2.0:
+        return [math.exp(math.log(a) + s * log_z - z - log_fact[s]) * _gamma_cf(s - a, z)
+                for s in range(s_hi + 1)]
+    top = round(a)
+    eps = top - a
+    log_g1 = _log_gamma_1p(eps) if eps else 0.0
+    # z**j / j! for j < s_hi + 40; at z < 2, terms past k = 40 are below
+    # 2**40 / 40! of the first.
+    power = np.cumprod(np.concatenate(([1.0], z / np.arange(1.0, s_hi + 40.0)))).tolist()
+    k = np.arange(40)
+    s = np.arange(s_hi + 1)[:, None]
+    terms = (np.where(k % 2, -1.0, 1.0) * np.array(power[:40])
+             / np.where(k == top - s, np.inf, s - a + k))
+    out = []
+    for v, row in enumerate(terms):
+        n = top - v
+        if n < 0:  # nu > 1/2: no pole nearby; z**a / v! is z**(1 - nu) z**(v-1) / v!
+            head = power[v - 1] / v * math.exp(math.lgamma(v - a) + (1.0 + a - v) * log_z)
+        elif eps:
+            x = log_g1 - math.fsum(math.log1p(-eps / j) for j in range(1, n + 1)) - eps * log_z
+            # (e**x - 1) / eps, with e**max(x, 0) taken apart.
+            head = (-1) ** n * power[v] * power[n] * math.exp(max(x, 0.0)) \
+                * math.copysign(-math.expm1(-abs(x)), x) / eps
+        else:
+            head = (-1) ** n * power[v] * power[n] * (
+                math.fsum(1.0 / j for j in range(1, n + 1)) - _EULER_GAMMA - log_z)
+        out.append(a * (head - power[v] * math.fsum(row)))
     return out
 
 
-# The 24-point Gauss-Legendre rule on [-1, 1], bit for bit
-# ``numpy.polynomial.legendre.leggauss(24)``, which symmetrises its nodes and
-# weights, so the mirrored positive half is exact.  A table, so that no
-# command imports ``numpy.polynomial``.  Read-only: every panel shares it.
-_GL_NODES = _mirrored([
-    "0x1.0660853eda2e8p-4", "0x1.8769542b94f8dp-3", "0x1.429a8c588e910p-2",
-    "0x1.bc345d81e24b5p-2", "0x1.17417bac4d72bp-1", "0x1.4bd2ee5fa1086p-1",
-    "0x1.7af18edb9ddd6p-1", "0x1.a3d74ce0d3700p-1", "0x1.c5d841864d0f5p-1",
-    "0x1.e06585a70aa4dp-1", "0x1.f30f9f0cbf876p-1", "0x1.fd892de691982p-1",
-], -1.0)
-_GL_WEIGHTS = _mirrored([
-    "0x1.060475e763731p-3", "0x1.01b7117cf8bd6p-3", "0x1.f25cbce1d1fefp-4",
-    "0x1.d91c78acb1b27p-4", "0x1.b8177ba4a68d7p-4", "0x1.8fd8936444b19p-4",
-    "0x1.6108ef5044635p-4", "0x1.2c6d5c2eff05ap-4", "0x1.e5c6255d25e9dp-5",
-    "0x1.6ab884f57c940p-5", "0x1.d375514486effp-6", "0x1.9465bd311255dp-7",
-], 1.0)
+def _pareto_mixture(law: Pareto, scale: float, r: int, k_max: int) -> Pmf:
+    """The order-``r`` mixture over a Pareto law in closed form.
 
-
-def _panel_widths(w: float, scale: float, ridge_end: float) -> float:
-    """Local panel width: resolve the Poisson ridge while under it, then grow
-    geometrically once every remaining grid entry sits in the left Poisson
-    tail (smooth in w).  The floor is relative to w, so panels shrink with a
-    tiny x_min."""
-    if w < ridge_end:
-        ridge = math.sqrt(scale * w + 1.0) / scale
-        return max(min(0.5 * w, ridge), 1e-12 * w)
-    return 0.5 * w
-
-
-class _Job:
-    """One law of a lockstep quadrature: its top-level panels and running sums."""
-
-    def __init__(self, law: Pareto, scale: float, r: int, k_max: int, tol: float):
-        biased = law.size_biased(r)
-        x0, a = biased.x_min, biased.tail_index
-        try:
-            # The density factors peak at x0; math.pow raises where numpy's
-            # power in the panels would give inf.
-            math.pow(x0, a)
-            math.pow(x0, -a - 1.0)
-        except OverflowError:
-            raise DomainError(f"weight scale out of range: the order-{r} Pareto density "
-                              f"overflows at x_min = {x0!r}") from None
-        # Cut the weight line where (i) the biased mixing tail is negligible
-        # and (ii) every Poisson ridge for entries s <= k_max has been passed.
-        tail_eps = min(tol, 1e-12)
-        w_tail = x0 * tail_eps ** (-1.0 / a)
-        ridge_end = (k_max + 8.0 * math.sqrt(k_max + 1.0) + 16.0) / scale
-        w_cut = max(w_tail, ridge_end * 1.0001)
-        edges = [x0]
-        while edges[-1] < w_cut:
-            edges.append(min(w_cut, edges[-1] + _panel_widths(edges[-1], scale, ridge_end)))
-
-        self.amplitude, self.power = a * x0**a, -a - 1.0
-        self.panels = set(zip(edges[:-1], edges[1:]))
-        self.budget = tol / (8.0 * (len(edges) - 1))
-        self.mass = np.zeros(k_max + 1)
-        self.tail = self.err = 0.0
-        # Mass that mixes from weights beyond w_cut: bounded by the biased
-        # tail there, and (by the ridge cut) it lands beyond k_max, so it
-        # belongs to tail_mass; tail_lo gets the share Poisson(scale * w_cut)
-        # puts there, as the Poisson tail grows with the rate.
-        self.beyond = biased.tail(w_cut)
-        self.beyond_lo = self.beyond * _chernoff_tail(k_max, scale * w_cut)
-
-
-class _Panel(NamedTuple):
-    """What a panel's jobs share: nodes, rates and one Poisson kernel block."""
-
-    weights: np.ndarray  # half-width times the Gauss-Legendre weights
-    w: np.ndarray
-    rates: np.ndarray
-    s_lo: int
-    block: np.ndarray | None  # columns s_lo.. of the window clipped to the grid
-
-
-def _panel(lo: float, hi: float, scale: float, k_max: int, log_fact: np.ndarray,
-           index: np.ndarray) -> _Panel:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    w = mid + half * _GL_NODES
-    rates = scale * w
-    # Window from the panel *endpoints* so a child's window nests in its
-    # parent's (node positions alone would not nest).
-    s_lo, s_hi = _support_window(scale * lo, scale * hi)
-    s_hi = min(s_hi, k_max)
-    block = _poisson_rows(rates, s_lo, s_hi, log_fact, index) if s_lo <= s_hi else None
-    return _Panel(half * _GL_WEIGHTS, w, rates, s_lo, block)
-
-
-def _job_panel(job: _Job, panel: _Panel) -> tuple[int, np.ndarray, np.ndarray]:
-    """Grid masses of one job over one panel, from index ``s_lo`` on, and its
-    node weights."""
-    coef = panel.weights * job.amplitude * panel.w ** job.power
-    if panel.block is None:  # entire Poisson bulk is beyond the grid
-        return 0, np.zeros(0), coef
-    return panel.s_lo, coef @ panel.block, coef
-
-
-def _pareto_mixtures(law: Pareto, scale: float, orders: list[int], k_max: int,
-                     tol: float) -> list[Pmf]:
-    """Pmfs on ``0..k_max`` of the laws of the given bias orders of one
-    Pareto law and scale, integrated in lockstep."""
-    states = [_Job(law, scale, r, k_max, tol) for r in orders]
-    log_fact = _log_factorials(k_max)
-    index = np.arange(k_max + 1.0)
-    n = _GL_NODES.size
-
-    def settle(lo: float, mid: float, hi: float,
-               jobs: list[_Job]) -> list[tuple[int, np.ndarray, float, float]]:
-        """Per job: the start and masses of the two halves of [lo, hi] on the
-        parent window, their tail mass and the panel's error estimate.  The
-        kernel blocks die on return, before :func:`refine` recurses."""
-        panels = [_panel(a, b, scale, k_max, log_fact, index)
-                  for a, b in ((lo, hi), (lo, mid), (mid, hi))]
-        t = _poisson_upper_tail(k_max, np.concatenate([panel.rates for panel in panels]))
-        out = []
-        for job in jobs:
-            (s_lo_p, mass_p, coef_p), (s_lo_1, mass_1, coef_1), (s_lo_2, mass_2, coef_2) = (
-                _job_panel(job, panel) for panel in panels)
-            tail_p = float(coef_p @ t[:n])
-            tail_1 = float(coef_1 @ t[n:2 * n])
-            tail_2 = float(coef_2 @ t[2 * n:])
-
-            # Children windows nest inside the parent's; compare on the parent window.
-            fine = np.zeros_like(mass_p)
-            if mass_1.size:
-                fine[s_lo_1 - s_lo_p:s_lo_1 - s_lo_p + mass_1.size] += mass_1
-            if mass_2.size:
-                fine[s_lo_2 - s_lo_p:s_lo_2 - s_lo_p + mass_2.size] += mass_2
-            err_mass = float(np.max(np.abs(fine - mass_p))) if mass_p.size else 0.0
-            out.append((s_lo_p, fine, tail_1 + tail_2,
-                        max(err_mass, abs(tail_1 + tail_2 - tail_p))))
-        return out
-
-    def refine(lo: float, hi: float, active: list[tuple[_Job, float]], depth: int) -> None:
-        mid = 0.5 * (lo + hi)
-        recurse = []
-        for (job, budget), (s_lo, fine, tail, panel_err) in zip(
-                active, settle(lo, mid, hi, [job for job, _ in active])):
-            if panel_err <= budget or depth >= _MAX_DEPTH:
-                if fine.size:
-                    job.mass[s_lo:s_lo + fine.size] += fine
-                job.tail += tail
-                job.err += panel_err
-                # The bound only grows, so fail as soon as it passes tol.
-                if job.err > tol:
-                    raise QuadratureError(
-                        f"panel refinement reached depth {_MAX_DEPTH} with accumulated "
-                        f"error bound {job.err:.3e} > tol {tol:.3e}", achieved=job.err)
-            else:
-                recurse.append((job, 0.5 * budget))
-        if recurse:
-            refine(lo, mid, recurse, depth + 1)
-            refine(mid, hi, recurse, depth + 1)
-
-    # Sorted by their left ends, every job meets its own panels in order.
-    for lo, hi in sorted(set().union(*(job.panels for job in states))):
-        refine(lo, hi, [(job, job.budget) for job in states if (lo, hi) in job.panels], 0)
-    # tail_lo: the tail integral less its error estimate and relative error.
-    pmfs = []
-    for job in states:
-        lo, hi = _tail_bounds(job.tail, k_max)
-        pmfs.append(Pmf(job.mass, hi + job.beyond, max(lo - job.err + job.beyond_lo, 0.0)))
-    return pmfs
+    The order-r size-biased law is Pareto(x_min, a), so the rate is Pareto
+    on [z, inf) with z = scale * x_min, and m(s) = P(value = s) = a z**a
+    Gamma(s - a, z) / s!.  From s0 = floor(a) + 1 on, the recurrence
+    Gamma(nu + 1, z) = nu Gamma(nu, z) + z**nu e**-z gives m(s + 1) =
+    (s - a) / (s + 1) m(s) + a z**s e**-z / (s + 1)!, both terms nonnegative;
+    below s0 :func:`_pareto_start` gives m(s) directly.  As P(Poisson(rate) >
+    K) = P(Gamma(K + 1) < rate), the Pareto survival function gives the tail
+    P(value > K) = P(Poisson(z) > K) + (K + 1) m(K + 1) / a.
+    """
+    biased = law.size_biased(r)
+    a, z = biased.tail_index, scale * biased.x_min
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"weight scale out of range: scale * x_min = {scale!r} * "
+                          f"{biased.x_min!r} is 0 or infinite in double precision")
+    s0 = math.floor(a) + 1
+    log_fact = _log_factorials(max(k_max + 1, s0))
+    mass = _pareto_start(a, z, min(s0, k_max + 1), log_fact)
+    if s0 <= k_max:
+        s = np.arange(s0, k_max + 1)
+        # The Poisson term as one log-space expression: at a tiny z the
+        # Poisson mass alone underflows where the product does not.
+        terms = np.exp(math.log(a) + s * math.log(z) - z - log_fact[s + 1]).tolist()
+        m = mass[-1]
+        for c, t in zip(((s - a) / (s + 1)).tolist(), terms):
+            m = c * m + t
+            mass.append(m)
+    tail = float(_poisson_upper_tail(k_max, np.array([z]))[0]) + (k_max + 1) * mass[-1] / a
+    lo, hi = _tail_bounds(tail, k_max)
+    return Pmf(mass[:-1], hi, lo)
 
 
 # ---------------------------------------------------------------------------
 # Public constructors
 # ---------------------------------------------------------------------------
 
-def pmf_mixed_poissons(specs: Sequence[MixingSpec], k_max: int,
-                       tol: float = 1e-10) -> list[Pmf]:
-    """Numeric pmfs on ``0..k_max`` of several mixed Poisson laws of one
-    weight law and scale.
-
-    The specs differ at most in their bias order; each pmf is bit for bit the
-    one :func:`pmf_mixed_poisson` gives for its spec alone.  For Pareto
-    mixing the laws are integrated in lockstep: a panel that several of them
-    use gets one Poisson kernel block and one upper-tail evaluation, while
-    every law keeps its own panels, error budget, accept/refine decisions and
-    order of additions.
-    """
-    if not specs:
-        return []
-    law, scale = specs[0].weight_law, specs[0].scale
-    if any(spec.weight_law != law or spec.scale != scale for spec in specs):
-        raise ValueError("specs must share one weight law and scale")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    k_max = int(k_max)
-    orders = [spec.bias_order for spec in specs]
-    with np.errstate(under="ignore"):
-        if isinstance(law, Pareto):
-            return _pareto_mixtures(law, scale, orders, k_max, tol)
-        return [_atomic_mixture(law, scale, r, k_max) for r in orders]
-
-
-def pmf_mixed_poisson(spec: MixingSpec, k_max: int, tol: float = 1e-10) -> Pmf:
+def pmf_mixed_poisson(spec: MixingSpec, k_max: int) -> Pmf:
     """Numeric pmf of the size-biased mixed Poisson law on ``0..k_max``.
 
     Entry ``s`` equals ``E[exp(-rate) rate**(s+r)] / (s! E[rate**r])`` with
-    ``rate = scale * W`` and ``r = spec.bias_order``, to absolute accuracy
-    ``tol`` per entry (and, for Pareto mixing, near-full relative accuracy
-    thanks to ridge-resolving panels).  The grid is exactly the one asked
-    for; ``tail_lo`` and ``tail_mass`` bound the mass beyond ``k_max``,
-    however large.  This is the one-law case of :func:`pmf_mixed_poissons`.
+    ``rate = scale * W`` and ``r = spec.bias_order``, to rounding: a finite
+    mixture of Poisson masses for a :class:`~rigclust.weights.Finite` law,
+    the closed form of :func:`_pareto_mixture` for a Pareto law.  The grid is
+    exactly the one asked for; ``tail_lo`` and ``tail_mass`` bound the mass
+    beyond ``k_max``, however large.
     """
-    return pmf_mixed_poissons([spec], k_max, tol)[0]
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    k_max = int(k_max)
+    law, r = spec.weight_law, spec.bias_order
+    with np.errstate(under="ignore"):
+        if isinstance(law, Pareto):
+            return _pareto_mixture(law, spec.scale, r, k_max)
+        return _atomic_mixture(law, spec.scale, r, k_max)
 
 
-def pmf_offspring(params: ModelParams, k_max: int, tol: float = 1e-10) -> Pmf:
+def pmf_offspring(params: ModelParams, k_max: int) -> Pmf:
     """Law of the extra actors met through one shared attribute.
 
     If N counts the actors on an attribute (the 'attribute' mixed Poisson law),
@@ -569,11 +456,10 @@ def pmf_offspring(params: ModelParams, k_max: int, tol: float = 1e-10) -> Pmf:
         P(tau = s) = (s + 1) P(N = s + 1) / E[N].
 
     Size-biasing a Poisson count biases its rate, so tau is the order-1
-    attribute law (:func:`mixing_spec`), and that is how it is computed: its
-    tail bound comes from the quadrature.  The tests check the shift formula
-    against it.
+    attribute law (:func:`mixing_spec`), and that is how it is computed, tail
+    bounds included.  The tests check the shift formula against it.
     """
-    return pmf_mixed_poisson(mixing_spec(params, "attribute", 1), k_max, tol)
+    return pmf_mixed_poisson(mixing_spec(params, "attribute", 1), k_max)
 
 
 def sample_biased(spec: MixingSpec, rng: np.random.Generator, size=None):

@@ -37,10 +37,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .mixedpoisson import Pmf, mixing_spec, pmf_mixed_poissons
+from .mixedpoisson import Pmf, mixing_spec, pmf_mixed_poisson, pmf_offspring
 from .stoppedsum import convolve, pmf_stopped_sums, tail_from_pmf
-# Not called here; kept so that the names traced in rigclust.theory still resolve.
-from .mixedpoisson import pmf_mixed_poisson, pmf_offspring  # noqa: F401
+# Not called here; kept so that the name traced in rigclust.theory still resolves.
 from .stoppedsum import pmf_stopped_sum  # noqa: F401
 from .weights import DomainError, InfiniteMomentError, ModelParams, Pareto
 
@@ -83,13 +82,13 @@ class Interval(NamedTuple):
 
 
 def _require_fourth_moments(params: ModelParams) -> None:
-    """The theory's domain gate, passed before any quadrature.
+    """The theory's domain gate, passed before any pmf is built.
 
     Both weight laws need finite fourth moments.  Their scales must also fit
     double precision: E[Z^1..4] neither overflows nor, off a law at zero,
     underflows to 0; a Pareto ``x_min**tail_index`` lies in [1e-300, 1e300],
-    as the quadrature weighs tilted densities by it and its reciprocal times
-    panel widths; and the route prefactors are finite.  Else DomainError.
+    as the tail constants of the asymptotic rows scale with it; and the route
+    prefactors are finite.  Else DomainError.
     """
     what = ""
     try:
@@ -128,9 +127,11 @@ class LimitLaws:
     Exposes the combined closed-route law (stopped sum with order-1 count plus
     the order-3 attribute law) and open-route law (order-2 count stopped sum
     plus two order-2 attribute laws).  The offspring law ``tau`` of both
-    stopped sums is the order-1 attribute law, so one lockstep quadrature
-    gives ``tau``, ``lam2`` and ``lam3`` and another the two counts, and the
-    two stopped sums share their baby steps ``tau^{*0..32}``.  The caller
+    stopped sums is the order-1 attribute law (:func:`pmf_offspring`); with
+    ``lam2``, ``lam3`` and the two counts that makes five mixed Poisson laws,
+    each from its closed form, and the two stopped sums share their baby
+    steps ``tau^{*0..32}``.  ``tol`` is the count truncation of the stopped
+    sums (:func:`~rigclust.stoppedsum.pmf_stopped_sums`).  The caller
     decides the grid ``k_max`` of the sums and the route laws (see
     :func:`adaptive_limit_laws`); what falls beyond it is between ``tail_lo``
     and ``tail_mass``.  The counts run on a longer grid, on which the sum of
@@ -147,14 +148,15 @@ class LimitLaws:
         self.k_max = int(k_max)
         self.tol = float(tol)
 
-        # One lockstep quadrature per weight side, one set of baby steps of tau.
-        attribute = [mixing_spec(params, "attribute", r) for r in (1, 2, 3)]
-        self.tau, self.lam2, self.lam3 = pmf_mixed_poissons(attribute, self.k_max, tol)
-        mean_tau = attribute[0].scale * params.a(2) / params.a(1)
+        self.tau = pmf_offspring(params, self.k_max)
+        self.lam2, self.lam3 = (pmf_mixed_poisson(mixing_spec(params, "attribute", r),
+                                                  self.k_max) for r in (2, 3))
+        mean_tau = mixing_spec(params, "attribute").scale * params.a(2) / params.a(1)
         self.count_k_max = max(self.k_max, math.ceil(2 * self.k_max / max(mean_tau, 1 / 32)))
-        count1, count2 = pmf_mixed_poissons(
-            [mixing_spec(params, "actor", r) for r in (1, 2)], self.count_k_max, tol)
-        self.d1, self.d2 = pmf_stopped_sums([count1, count2], self.tau, self.k_max, tol)
+        counts = [pmf_mixed_poisson(mixing_spec(params, "actor", r), self.count_k_max)
+                  for r in (1, 2)]
+        # One set of baby steps of tau for both stopped sums.
+        self.d1, self.d2 = pmf_stopped_sums(counts, self.tau, self.k_max, tol)
 
         self.closed_law: Pmf = convolve(self.d1, self.lam3, self.k_max)
         self.open_law: Pmf = convolve(
@@ -192,8 +194,8 @@ def adaptive_limit_laws(params: ModelParams, k_last: int,
     Each grid entry depends on lower entries only, so the point weights are
     those of any larger grid (the tests check this bit for bit).  The A/B
     intervals are two-sided, and their width is mostly mass no grid locates,
-    such as count truncation and quadrature error.  Twice the last degree
-    keeps small the chance that a sum cut short by the grid still lies on it;
+    such as the truncated count mass.  Twice the last degree keeps small the
+    chance that a sum cut short by the grid still lies on it;
     :class:`LimitLaws` sizes the grid of the counts to the same end.
     """
     s = max(int(k_last) - 2, 0)

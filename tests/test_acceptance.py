@@ -79,14 +79,14 @@ def test_point_mass_weights_match_poisson_references(announce):
     for role, rate in (("actor", mu), ("attribute", nu)):
         ref = poisson.pmf(grid, rate)
         for r in range(4):
-            got = pmf_mixed_poisson(mixing_spec(params, role, r), 256, 1e-12)
+            got = pmf_mixed_poisson(mixing_spec(params, role, r), 256)
             worst = max(worst, float(np.abs(got.mass - ref).max()),
                         abs(got.tail_mass - float(poisson.sf(256, rate))))
 
-    off = pmf_offspring(params, 256, 1e-12)
+    off = pmf_offspring(params, 256)
     worst = max(worst, float(np.abs(off.mass - poisson.pmf(grid, nu)).max()))
 
-    count = pmf_mixed_poisson(mixing_spec(params, "actor", 0), 256, 1e-12)
+    count = pmf_mixed_poisson(mixing_spec(params, "actor", 0), 256)
     got = pmf_stopped_sum(count, off, 512, 1e-12)
     sgrid = np.arange(513)
     ref = np.zeros(513)
@@ -113,10 +113,10 @@ def test_pmfs_match_monte_carlo(announce):
     laws = {}
     for r in (2, 3):
         laws[f"attribute law, order {r}"] = pmf_mixed_poisson(
-            mixing_spec(params, "attribute", r), 2048, 1e-10)
-    laws["offspring law"] = pmf_offspring(params, 2048, 1e-10)
+            mixing_spec(params, "attribute", r), 2048)
+    laws["offspring law"] = pmf_offspring(params, 2048)
     for r in (1, 2):
-        count = pmf_mixed_poisson(mixing_spec(params, "actor", r), 2048, 1e-10)
+        count = pmf_mixed_poisson(mixing_spec(params, "actor", r), 2048)
         laws[f"degree law, order {r}"] = pmf_stopped_sum(
             count, laws["offspring law"], 4096, 1e-10)
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln, poch
 from scipy.stats import poisson
 
 from rigclust import (
@@ -17,15 +17,12 @@ from rigclust import (
     ModelParams,
     Pareto,
     Pmf,
-    QuadratureError,
     mixing_spec,
     pmf_mixed_poisson,
-    pmf_mixed_poissons,
     pmf_offspring,
     sample_biased,
 )
-import rigclust.mixedpoisson as mp
-from rigclust.mixedpoisson import _chernoff_tail, _log_factorials, _poisson_upper_tail
+from rigclust.mixedpoisson import _log_factorials, _poisson_upper_tail
 
 
 def pareto_mixture_entry(x_min: float, alpha: float, scale: float, s: int) -> float:
@@ -97,11 +94,11 @@ def test_rate_zero_atom_collapses_to_origin():
 
 
 def test_pareto_mixing_matches_incomplete_gamma():
-    # x_min = 1e-20 needs panels far narrower than 1e-12 near x_min.
+    # x_min = 1e-20 puts the rate threshold far below the series/fraction switch.
     for x_min, alpha, scale in ((1.0, 6.0, 1.2), (1.0, 7.0, 0.9), (1.0, 5.5, 2.0),
                                 (1e-20, 7.0, 1.2)):
         spec = MixingSpec(Pareto(x_min, alpha), scale=scale)
-        res = pmf_mixed_poisson(spec, k_max=512, tol=1e-10)
+        res = pmf_mixed_poisson(spec, k_max=512)
         ss = np.concatenate([np.arange(0, 40), np.arange(40, 513, 13)])
         for s in ss:
             expect = pareto_mixture_entry(x_min, alpha, scale, int(s))
@@ -119,13 +116,6 @@ def test_pareto_mixing_biased_matches_reduced_index():
     pr = pmf_mixed_poisson(spec_r, k_max=256)
     assert np.max(np.abs(pb.mass - pr.mass)) < 1e-13
     assert pb.tail_mass == pytest.approx(pr.tail_mass, rel=1e-9, abs=1e-15)
-
-
-def test_gauss_legendre_table_is_leggauss_bit_for_bit():
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    assert np.array_equal(mp._GL_NODES.view(np.int64), nodes.view(np.int64))
-    assert np.array_equal(mp._GL_WEIGHTS.view(np.int64), weights.view(np.int64))
-    assert not mp._GL_NODES.flags.writeable and not mp._GL_WEIGHTS.flags.writeable
 
 
 def test_pareto_tail_mass_matches_quadrature():
@@ -147,48 +137,6 @@ def test_pareto_tail_lo_is_the_tail_integral_less_its_error():
     spec = MixingSpec(Pareto(1.0, 6.0), scale=1.2)
     res = pmf_mixed_poisson(spec, k_max=64)
     assert 0.0 < res.tail_mass - res.tail_lo <= 1e-5 * res.tail_mass
-
-
-def test_pareto_tail_lo_covers_the_error_estimate(monkeypatch):
-    # Inflate the halves' Poisson tails against their parent's: the tail
-    # integral comes out 1e-6 too high, the panel error estimate sees the
-    # disagreement, and tail_lo must stay below the true off-grid mass.
-    spec = MixingSpec(Pareto(1.0, 6.0), scale=1.2, bias_order=1)
-    exact = pmf_mixed_poisson(spec, k_max=16, tol=1e-4)
-    tail = mp._poisson_upper_tail
-
-    def inflated(k_max, rates):
-        out = tail(k_max, rates)
-        out[mp._GL_NODES.size:] *= 1.0 + 1e-6
-        return out
-
-    monkeypatch.setattr(mp, "_poisson_upper_tail", inflated)
-    skewed = pmf_mixed_poisson(spec, k_max=16, tol=1e-4)
-    assert skewed.tail_mass > exact.tail_mass * (1.0 + 0.5e-6)
-    assert skewed.tail_lo <= exact.tail_mass
-
-
-def test_pareto_cut_mass_is_located_by_the_poisson_tail_at_the_cut(monkeypatch):
-    # The mixing mass past the weight cut counts in tail_lo only times a
-    # lower bound on the Poisson tail at the cut, so a zero bound takes it
-    # out again while tail_mass keeps it.
-    spec = MixingSpec(Pareto(1.0, 6.0), scale=1.2, bias_order=1)
-    located = pmf_mixed_poisson(spec, k_max=16)
-    monkeypatch.setattr(mp, "_chernoff_tail", lambda k_max, rate: 0.0)
-    unlocated = pmf_mixed_poisson(spec, k_max=16)
-    assert unlocated.tail_mass == located.tail_mass
-    assert unlocated.tail_lo < located.tail_lo
-
-
-@pytest.mark.parametrize("k_max", [1, 2, 16, 64, 1024])
-def test_chernoff_tail_is_a_lower_bound(k_max):
-    rates = k_max + np.array([-0.5, 0.0, 1.0, 3.0 * math.sqrt(k_max), 8.0 * math.sqrt(k_max + 1)
-                              + 16.0, 10.0 * k_max + 40.0])
-    for rate in rates[rates > 0]:
-        got = _chernoff_tail(k_max, float(rate))
-        assert 0.0 <= got <= float(poisson.sf(k_max, rate)), rate
-    # Past the ridge cut of the quadrature the bound is close to one.
-    assert _chernoff_tail(k_max, k_max + 8.0 * math.sqrt(k_max + 1) + 16.0) > 1.0 - 1e-9
 
 
 @pytest.mark.parametrize("k_max, rate", [(1, 1e-3), (1, 30.0), (16, 2.0), (64, 60.0),
@@ -390,13 +338,16 @@ def test_grid_is_the_one_asked_for():
 
 
 def test_overflowing_density_at_x_min_is_a_domain_error():
-    # (1e-40)**-8 overflows at bias order 0: one DomainError before any
-    # panel, not NaN panels.  Order 1 (x_min**-7) still builds.
-    with pytest.raises(DomainError, match=r"^weight scale out of range: the order-0 "
-                                          r"Pareto density overflows at x_min = 1e-40$"):
-        pmf_mixed_poisson(MixingSpec(Pareto(1e-40, 7.0), 1.2), 512)
-    built = pmf_mixed_poisson(MixingSpec(Pareto(1e-40, 7.0), 1.2, 1), 512)
-    assert np.all(np.isfinite(built.mass))
+    # The closed form needs the rate threshold scale * x_min as a positive
+    # double: one DomainError where it overflows or underflows to 0.  A tiny
+    # x_min with the threshold in range builds at every order, order 0 too.
+    for x_min, scale in ((1e300, 1e10), (1e-300, 1e-30)):
+        with pytest.raises(DomainError, match=r"^weight scale out of range: scale \* x_min = "
+                                              r".* is 0 or infinite in double precision$"):
+            pmf_mixed_poisson(MixingSpec(Pareto(x_min, 7.0), scale), 512)
+    for r in range(4):
+        built = pmf_mixed_poisson(MixingSpec(Pareto(1e-40, 7.0), 1.2, r), 512)
+        assert np.all(np.isfinite(built.mass))
 
 
 def test_scale_validation():
@@ -407,69 +358,60 @@ def test_scale_validation():
 
 
 # ---------------------------------------------------------------------------
-# Lockstep quadrature of several laws
+# Closed form of Pareto mixtures
 # ---------------------------------------------------------------------------
 
-def lockstep_specs(params, role, orders):
-    return [mixing_spec(params, role, r) for r in orders]
+def gamma_ratio(s: int, b: float) -> float:
+    """Gamma(s - b) / Gamma(s + 1) for s > b, to a few ulp: scipy's ``poch``
+    at arguments past 1e4, where it sums an asymptotic series instead of
+    taking the difference of two log-gammas, times the factors of the shift
+    summed as logs."""
+    y, m = s + 1.0, -b - 1.0
+    shift = max(0, 10_002 - s)
+    return poch(y + shift, m) * math.exp(-math.fsum(np.log1p(m / (y + np.arange(shift)))))
 
 
-@pytest.mark.parametrize("k_max", [64, 256, 1024, 4096])
-@pytest.mark.parametrize("laws", [(Pareto(2.0, 7.0), Pareto(2.0, 6.0)),
-                                  (Pareto(1.0, 9.0), Pareto(1.0, 5.5))],
-                         ids=["pareto(2,7)/(2,6)", "pareto(1,9)/(1,5.5)"])
-def test_batched_laws_equal_laws_alone(laws, k_max):
-    # The two weight sides of LimitLaws: orders 1, 2 and 3, and orders 1 and
-    # 2.  Sharing kernel blocks and tail evaluations between them moves no
-    # bit of any mass or tail.
-    params = ModelParams(100, 100, 1.0, *laws)
-    for specs in (lockstep_specs(params, "attribute", (1, 2, 3)),
-                  lockstep_specs(params, "actor", (1, 2))):
-        for spec, got in zip(specs, pmf_mixed_poissons(specs, k_max)):
-            alone = pmf_mixed_poisson(spec, k_max)
-            assert np.array_equal(got.mass, alone.mass)
-            assert got.tail_mass == alone.tail_mass
+def pareto_mass(x_min: float, alpha: float, scale: float, s: int) -> float:
+    """:func:`pareto_mixture_entry` with the gamma ratio of :func:`gamma_ratio`
+    for s > alpha + 1: its difference of ``gammaln`` values is off by up to
+    1.2e-11 relative at s near 4096 (against 40-digit values)."""
+    if s <= alpha + 1:
+        return pareto_mixture_entry(x_min, alpha, scale, s)
+    z0 = scale * x_min
+    return alpha * z0**alpha * gamma_ratio(s, alpha) * gammaincc(s - alpha, z0)
 
 
-def test_batched_laws_out_of_order():
-    # Orders in no particular sequence, one law twice.
-    params = params_pareto(6.6, 5.1, 1.3)
-    specs = lockstep_specs(params, "attribute", (2, 0, 3, 2, 1))
-    for spec, got in zip(specs, pmf_mixed_poissons(specs, 300)):
-        alone = pmf_mixed_poisson(spec, 300)
-        assert got.mass.size == 301
-        assert np.array_equal(got.mass, alone.mass)
-        assert got.tail_mass == alone.tail_mass
+#: (x_min, alpha, scale): integer tail indices, indices 1e-7 off an integer,
+#: rate thresholds on both sides of the switch at 2, near 1e-40 and at 50.
+CLOSED_FORM_LAWS = [(1.0, 7.0, 1.2), (2.0, 6.0, 2.4), (1.0, 6.0 + 1e-7, 1.0),
+                    (1.0, 6.0 - 1e-7, 1.0), (1.0, 7.0, 1.99), (1.0, 7.0, 2.0),
+                    (1.0, 7.0, 2.01), (1e-40, 7.0, 1.2), (1.0, 6.6, 50.0)]
 
 
-def test_batched_atomic_laws():
-    params = ModelParams(10, 10, 2.0, Finite(((1.0, 0.5), (3.0, 0.5))), Degenerate(2.0))
-    specs = lockstep_specs(params, "attribute", (0, 2))
-    for spec, got in zip(specs, pmf_mixed_poissons(specs, 40)):
-        alone = pmf_mixed_poisson(spec, 40)
-        assert np.array_equal(got.mass, alone.mass) and got.tail_mass == alone.tail_mass
+@pytest.mark.parametrize("k_max", [64, 4096])
+@pytest.mark.parametrize("x_min, alpha, scale", CLOSED_FORM_LAWS)
+def test_pareto_masses_match_the_incomplete_gamma_to_rounding(x_min, alpha, scale, k_max):
+    step = max(1, k_max // 64)
+    ss = sorted(set(range(40)) | set(range(40, k_max + 1, step)) | {k_max})
+    for r in range(4):
+        res = pmf_mixed_poisson(MixingSpec(Pareto(x_min, alpha), scale, r), k_max)
+        for s in ss:
+            expect = pareto_mass(x_min, alpha - r, scale, s)
+            if expect > 1e-280:
+                assert res.mass[s] == pytest.approx(expect, rel=1e-12, abs=0.0), (r, s)
 
 
-def test_batch_validation():
-    assert pmf_mixed_poissons([], 8) == []
-    spec = MixingSpec(Pareto(1.0, 6.0), scale=1.0)
-    with pytest.raises(ValueError, match="one weight law and scale"):
-        pmf_mixed_poissons([spec, MixingSpec(Pareto(1.0, 6.0), scale=2.0)], 8)
-    with pytest.raises(ValueError, match="one weight law and scale"):
-        pmf_mixed_poissons([spec, MixingSpec(Pareto(1.0, 7.0), scale=1.0)], 8)
-    with pytest.raises(ValueError, match="k_max must be >= 1"):
-        pmf_mixed_poissons([spec, spec], 0)
-
-
-def test_unreachable_tol_raises_in_lockstep():
-    # A law that cannot reach tol fails with the message it gives alone,
-    # beside a law of another order.
-    spec = MixingSpec(Pareto(1.0, 7.0), scale=2.0, bias_order=3)
-    with pytest.raises(QuadratureError) as alone:
-        pmf_mixed_poisson(spec, 64, tol=1e-300)
-    assert re.fullmatch(r"panel refinement reached depth 14 with accumulated error "
-                        r"bound \S+ > tol 1\.000e-300", str(alone.value))
-    assert alone.value.achieved > 1e-300
-    with pytest.raises(QuadratureError) as batched:
-        pmf_mixed_poissons([spec, MixingSpec(Pareto(1.0, 7.0), 2.0, 0)], 64, tol=1e-300)
-    assert str(batched.value) == str(alone.value)
+@pytest.mark.parametrize("k_max", [64, 4096, 65536])
+@pytest.mark.parametrize("x_min, alpha, scale", CLOSED_FORM_LAWS)
+def test_pareto_tail_bounds_bracket_the_exact_tail(x_min, alpha, scale, k_max):
+    # P(S > K) = P(Poisson(z) > K) + z**a Gamma(K + 1 - a, z) / K!, with z =
+    # scale * x_min and a the tail index of the order-r law.  The relative
+    # margin covers tails above 1e-300; subnormal ones carry fewer digits.
+    z = scale * x_min
+    for r in range(4):
+        res = pmf_mixed_poisson(MixingSpec(Pareto(x_min, alpha), scale, r), k_max)
+        a = alpha - r
+        exact = (float(poisson.sf(k_max, z))
+                 + z**a * gamma_ratio(k_max, a - 1.0) * gammaincc(k_max + 1 - a, z))
+        assert exact < 1e-300 or res.tail_lo <= exact <= res.tail_mass, r
+        assert abs(math.fsum(res.mass) + res.tail_mass - 1.0) <= 1e-12

@@ -16,7 +16,6 @@ from rigclust import (
     mixing_spec,
     parse_law,
     pmf_mixed_poisson,
-    pmf_mixed_poissons,
     pmf_offspring,
     pmf_stopped_sum,
     pmf_stopped_sums,
@@ -82,8 +81,8 @@ def law_pair(x_law: str, y_law: str) -> ModelParams:
 
 def actor_stopped_sum(params: ModelParams, order: int, k_max: int) -> tuple[Pmf, Pmf]:
     """The order-r actor count and offspring summand of the limit laws."""
-    return (pmf_mixed_poisson(mixing_spec(params, "actor", order), k_max, 1e-10),
-            pmf_offspring(params, k_max, 1e-10))
+    return (pmf_mixed_poisson(mixing_spec(params, "actor", order), k_max),
+            pmf_offspring(params, k_max))
 
 
 def neyman_type_a(mu: float, lam: float, k_max: int, terms: int = 400) -> np.ndarray:
@@ -397,8 +396,8 @@ def test_degree_laws_of_the_acceptance_pairs_match_the_full_loop(x_law, y_law):
     # Both degree laws of a 1024 build, counts of 119 to 1353 terms.
     params = law_pair(x_law, y_law)
     laws = LimitLaws(params, 1024)
-    counts = pmf_mixed_poissons([mixing_spec(params, "actor", r) for r in (1, 2)],
-                                laws.count_k_max, 1e-10)
+    counts = [pmf_mixed_poisson(mixing_spec(params, "actor", r), laws.count_k_max)
+              for r in (1, 2)]
     for got, count in zip((laws.d1, laws.d2), counts):
         assert_matches_full_loop(got, count, laws.tau, 1024, 1e-10)
 

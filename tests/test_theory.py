@@ -1,13 +1,11 @@
 """Limit-formula machinery against closed-form and series references."""
 
-import collections
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
-import rigclust.mixedpoisson as mp
 import rigclust.stoppedsum as ss
 import rigclust.theory as th
 from rigclust import (
@@ -146,7 +144,7 @@ def test_stopped_sum_means_obey_wald(pareto_laws):
     # that product collapses to a_2 b_1^2; the order-1-biased count used in
     # the closed route has mean sqrt(beta) a_1 b_2 / b_1 instead.
     params, laws = pareto_laws
-    count0 = pmf_mixed_poisson(mixing_spec(params, "actor", 0), 1024, 1e-10)
+    count0 = pmf_mixed_poisson(mixing_spec(params, "actor", 0), 1024)
     deg0 = pmf_stopped_sum(count0, laws.tau, 1024, 1e-10)
     assert deg0.mean() == pytest.approx(params.a(2) * params.b(1) ** 2, rel=1e-5)
 
@@ -194,61 +192,6 @@ def test_shift_domain_errors(pareto_laws):
         laws.point_weights(1)
     with pytest.raises(ValueError):
         laws.point_weights(1024 + 3)
-
-
-def test_limit_laws_build_one_kernel_block_per_panel_per_side(monkeypatch):
-    # Each weight side is one lockstep quadrature: a panel that several of
-    # its laws use gets one Poisson kernel block, where five separate builds
-    # would each compute their own, and every ingredient keeps its bits.
-    params = ModelParams(10000, 10000, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0))
-    kernel = mp._poisson_rows
-    blocks = collections.Counter()  # rates of a block -> calls
-
-    def counted(rates, *args):
-        blocks[rates.tobytes()] += 1
-        return kernel(rates, *args)
-
-    monkeypatch.setattr(mp, "_poisson_rows", counted)
-    laws = LimitLaws(params, 256)
-    shared, blocks = blocks, collections.Counter()
-    tau = pmf_offspring(params, 256)
-    alone = [tau]
-    for role, r in (("attribute", 2), ("attribute", 3), ("actor", 1), ("actor", 2)):
-        alone.append(pmf_mixed_poisson(mixing_spec(params, role, r), 256))
-    separate_calls = sum(blocks.values())
-    # No panel of this build is refined, so each panel has exactly one block.
-    assert set(shared.values()) == {1}
-    assert set(shared) == set(blocks)
-    assert sum(shared.values()) < 0.5 * separate_calls
-
-    _, lam2, lam3, count1, count2 = alone
-    d1 = pmf_stopped_sum(count1, tau, 256, 1e-10)
-    d2 = pmf_stopped_sum(count2, tau, 256, 1e-10)
-    for got, want in ((laws.tau, tau), (laws.lam2, lam2), (laws.lam3, lam3),
-                      (laws.d1, d1), (laws.d2, d2)):
-        assert np.array_equal(got.mass, want.mass) and got.tail_mass == want.tail_mass
-
-
-def test_limit_laws_evaluate_one_tail_per_three_panels(monkeypatch):
-    # Every law of a weight side is on the one grid, so a panel and its two
-    # halves share a single upper-tail evaluation, offspring law included.
-    params = ModelParams(10000, 10000, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0))
-    calls = collections.Counter()
-
-    def counting(name):
-        original = getattr(mp, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return original(*args)
-        return counted
-
-    for name in ("_panel", "_poisson_upper_tail"):
-        monkeypatch.setattr(mp, name, counting(name))
-    LimitLaws(params, 256)
-    assert calls["_poisson_upper_tail"] > 0
-    assert calls["_panel"] == 3 * calls["_poisson_upper_tail"]
-
 
 
 def test_limit_laws_convolve_each_power_of_tau_once(monkeypatch):
