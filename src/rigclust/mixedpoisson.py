@@ -264,7 +264,8 @@ def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
 
 def _tail_bounds(tail: float, k_max: int) -> tuple[float, float]:
     """Lower and upper bounds on the true value of a tail ``tail`` beyond
-    ``k_max``, from the relative margin (K + 1000) * 1e-15.
+    ``k_max``, from the relative margin (K + 1000) * 1e-15 and an absolute
+    slack of four smallest normal doubles.
 
     The tail is a sum of :func:`_poisson_upper_tail` values with nonnegative
     weights, plus, for Pareto mixing, (K + 1) m(K + 1) / a from the recurrence
@@ -275,9 +276,11 @@ def _tail_bounds(tail: float, k_max: int) -> tuple[float, float]:
     about 4 ulp (the coefficient, the product, the sum), or that of its
     log-space Poisson term if larger; over K steps that is below K * 1e-15,
     and the start values, within 1.5e-13, stay below the constant part.
+    The slack covers tails in the subnormal range, which carry fewer digits.
     """
     margin = (k_max + 1000) * 1e-15
-    return tail * (1.0 - margin), tail * (1.0 + margin)
+    slack = 4.0 * np.finfo(np.float64).tiny
+    return max(tail * (1.0 - margin) - slack, 0.0), tail * (1.0 + margin) + slack
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +389,16 @@ def _pareto_start(a: float, z: float, s_hi: int, log_fact: np.ndarray) -> list[f
                 math.fsum(1.0 / j for j in range(1, n + 1)) - _EULER_GAMMA - log_z)
         out.append(a * (head - power[v] * math.fsum(row)))
     return out
+
+
+def _pareto_head(a: float, z: float, s_hi: int) -> list[float]:
+    """e**z a z**a Gamma(s - a, z) / s! for s = 0..s_hi: the first masses of a
+    Poisson law mixed over a rate Pareto on [z, inf) with index a, times e**z."""
+    log_fact = _log_factorials(s_hi)
+    if z >= 2.0:
+        return [math.exp(math.log(a) + s * math.log(z) - log_fact[s]) * _gamma_cf(s - a, z)
+                for s in range(s_hi + 1)]
+    return [m * math.exp(z) for m in _pareto_start(a, z, s_hi, log_fact)]
 
 
 def _pareto_mixture(law: Pareto, scale: float, r: int, k_max: int) -> Pmf:

@@ -128,18 +128,14 @@ class LimitLaws:
     the order-3 attribute law) and open-route law (order-2 count stopped sum
     plus two order-2 attribute laws).  The offspring law ``tau`` of both
     stopped sums is the order-1 attribute law (:func:`pmf_offspring`); with
-    ``lam2``, ``lam3`` and the two counts that makes five mixed Poisson laws,
-    each from its closed form, and the two stopped sums share their baby
-    steps ``tau^{*0..32}``.  ``tol`` is the count truncation of the stopped
-    sums (:func:`~rigclust.stoppedsum.pmf_stopped_sums`).  The caller
-    decides the grid ``k_max`` of the sums and the route laws (see
-    :func:`adaptive_limit_laws`); what falls beyond it is between ``tail_lo``
-    and ``tail_mass``.  The counts run on a longer grid, on which the sum of
-    that many ``tau`` has mean at least ``2 * k_max``: a count past their
-    grid then puts its sum past ``k_max`` too, so ``tail_lo`` locates that
-    mass, which would otherwise widen every interval when E[tau] < 2.  That
-    grid is at most ``64 * k_max``, which bounds its memory when E[tau] is
-    tiny; below E[tau] = 1/32 part of that mass stays unlocated.
+    ``lam2`` and ``lam3`` that makes three mixed Poisson laws, each from its
+    closed form.  The two stopped sums come from one run of the mixed Poisson
+    recursion (:func:`~rigclust.stoppedsum.pmf_stopped_sums`).  ``tol`` is
+    the relative accuracy claimed for their masses, which enter as (1 - tol)
+    times the computed ones: it sets the width of the A/B intervals, and so
+    where rows turn asymptotic, but not c_pred.  The caller decides the grid
+    ``k_max`` (see :func:`adaptive_limit_laws`); what falls beyond it is
+    between ``tail_lo`` and ``tail_mass``.
     """
 
     def __init__(self, params: ModelParams, k_max: int, tol: float = 1e-10):
@@ -151,11 +147,7 @@ class LimitLaws:
         self.tau = pmf_offspring(params, self.k_max)
         self.lam2, self.lam3 = (pmf_mixed_poisson(mixing_spec(params, "attribute", r),
                                                   self.k_max) for r in (2, 3))
-        mean_tau = mixing_spec(params, "attribute").scale * params.a(2) / params.a(1)
-        self.count_k_max = max(self.k_max, math.ceil(2 * self.k_max / max(mean_tau, 1 / 32)))
-        counts = [pmf_mixed_poisson(mixing_spec(params, "actor", r), self.count_k_max)
-                  for r in (1, 2)]
-        # One set of baby steps of tau for both stopped sums.
+        counts = [mixing_spec(params, "actor", r) for r in (1, 2)]
         self.d1, self.d2 = pmf_stopped_sums(counts, self.tau, self.k_max, tol)
 
         self.closed_law: Pmf = convolve(self.d1, self.lam3, self.k_max)
@@ -193,10 +185,9 @@ def adaptive_limit_laws(params: ModelParams, k_last: int,
 
     Each grid entry depends on lower entries only, so the point weights are
     those of any larger grid (the tests check this bit for bit).  The A/B
-    intervals are two-sided, and their width is mostly mass no grid locates,
-    such as the truncated count mass.  Twice the last degree keeps small the
-    chance that a sum cut short by the grid still lies on it;
-    :class:`LimitLaws` sizes the grid of the counts to the same end.
+    intervals are two-sided, and their width is mostly the share ``tol`` of
+    the degree laws' mass.  Twice the last degree keeps small the chance that
+    a sum cut short by the grid still lies on it.
     """
     s = max(int(k_last) - 2, 0)
     size = max(64, 1 << max(2 * s - 1, 0).bit_length())

@@ -70,27 +70,41 @@ def test_theory_reads_config_file_with_flag_overrides(tmp_path, capsys):
     assert [line.split(",")[0] for line in out.strip().split("\n")] == ["k", "2", "3"]
 
 
-@pytest.mark.parametrize("command", ["theory", "compare"])
-@pytest.mark.parametrize("flags", [["--beta", "1", "--tol", "0.5"], ["--beta", "1e10"]],
-                         ids=["tol=0.5", "beta=1e10"])
-def test_loose_degree_two_row_is_left_out(tmp_path, capsys, command, flags):
-    # Both make the k = 2 intervals loose; the closed forms have no value at
-    # k - 2 = 0, so k = 2 gets no prediction and 3..5 the asymptotic ones.
+def run_degrees_two_to_five(tmp_path, capsys, command, flags):
+    """``command`` on pareto(1,7)/(1,6) over k 2..5: the theory rows, or the
+    report rows of compare."""
     out_dir = tmp_path / "out"
     code, out, err = run_main(
         [command, "--n", "300", "--m", "300", *flags, "--x-law", "pareto(1,7)",
          "--y-law", "pareto(1,6)", "--k-min", "2", "--k-max", "5",
          "--replicates", "2", "--output-dir", str(out_dir)], capsys)
     assert code == EXIT_OK and "Traceback" not in err
+    lines = out if command == "theory" else (out_dir / "report.csv").read_text()
+    return [line.split(",") for line in lines.strip().split("\n")[1:]]
+
+
+@pytest.mark.parametrize("command", ["theory", "compare"])
+@pytest.mark.parametrize("flags", [["--beta", "1", "--tol", "0.5"]], ids=["tol=0.5"])
+def test_loose_degree_two_row_is_left_out(tmp_path, capsys, command, flags):
+    # tol 0.5 makes the k = 2 intervals loose; the closed forms have no value
+    # at k - 2 = 0, so k = 2 gets no prediction and 3..5 the asymptotic ones.
+    rows = run_degrees_two_to_five(tmp_path, capsys, command, flags)
     if command == "theory":
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [row[0] for row in rows] == ["3", "4", "5"]
         assert all(row[7] == "" and row[8] != "" for row in rows)  # no c_pred, a C_pred
     else:
-        report = (out_dir / "report.csv").read_text().strip().split("\n")
-        two, three = report[1].split(","), report[2].split(",")
-        assert two[0] == "2" and two[6:9] == ["", "", ""]
-        assert three[0] == "3" and three[7] != ""
+        assert rows[0][0] == "2" and rows[0][6:9] == ["", "", ""]
+        assert rows[1][0] == "3" and rows[1][7] != ""
+
+
+@pytest.mark.parametrize("command", ["theory", "compare"])
+def test_degree_two_row_at_a_huge_beta_is_numeric(tmp_path, capsys, command):
+    # At beta = 1e10 the counts have means near 1.5e5 and t_0 is 1 - 1.4e-5.
+    # The recursion, with no count grid to cut them, resolves k = 2.
+    rows = run_degrees_two_to_five(tmp_path, capsys, command, ["--beta", "1e10"])
+    c_pred = 7 if command == "theory" else 6
+    assert [row[0] for row in rows] == ["2", "3", "4", "5"]
+    assert all(row[c_pred] != "" for row in rows)
 
 
 @pytest.mark.parametrize("command", ["theory", "compare"])
@@ -219,9 +233,9 @@ def theory_rows(argv, capsys):
 
 @pytest.mark.parametrize("tol", ["1e-20", "1e-300"])
 def test_tol_far_below_round_off_builds(capsys, tol):
-    # tol is the count truncation of the stopped sums alone: a count whose
-    # tail never falls below it runs to the end of its grid, and the point
-    # predictions stay those of the default tol.
+    # tol is the relative accuracy claimed for the degree laws, and nothing
+    # else: one far below rounding still builds, and the point predictions
+    # stay those of the default tol.
     argv = [*BASE, "--k-min", "3", "--k-max", "15"]
     default = theory_rows(argv, capsys)
     tight = theory_rows([*argv, "--tol", tol], capsys)

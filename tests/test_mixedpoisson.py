@@ -406,12 +406,21 @@ def test_pareto_masses_match_the_incomplete_gamma_to_rounding(x_min, alpha, scal
 def test_pareto_tail_bounds_bracket_the_exact_tail(x_min, alpha, scale, k_max):
     # P(S > K) = P(Poisson(z) > K) + z**a Gamma(K + 1 - a, z) / K!, with z =
     # scale * x_min and a the tail index of the order-r law.  The relative
-    # margin covers tails above 1e-300; subnormal ones carry fewer digits.
+    # margin covers tails above 1e-300, the absolute slack subnormal ones.
     z = scale * x_min
     for r in range(4):
         res = pmf_mixed_poisson(MixingSpec(Pareto(x_min, alpha), scale, r), k_max)
         a = alpha - r
         exact = (float(poisson.sf(k_max, z))
                  + z**a * gamma_ratio(k_max, a - 1.0) * gammaincc(k_max + 1 - a, z))
-        assert exact < 1e-300 or res.tail_lo <= exact <= res.tail_mass, r
+        assert res.tail_lo <= exact <= res.tail_mass, r
         assert abs(math.fsum(res.mass) + res.tail_mass - 1.0) <= 1e-12
+
+
+def test_subnormal_tail_is_bracketed():
+    # The order-0 tail past 65,536 of Pareto(1e-40, 7) at scale 1.2 is
+    # 6.903166931e-314 (a 60-digit mpmath sum).  The masses there are
+    # subnormal and carry few digits: the relative margin alone puts tail_lo
+    # at 6.9031738583e-314, above it.
+    res = pmf_mixed_poisson(MixingSpec(Pareto(1e-40, 7.0), 1.2), 65536)
+    assert res.tail_lo <= 6.903166931e-314 <= res.tail_mass

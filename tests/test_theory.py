@@ -16,7 +16,6 @@ from rigclust import (
     Pareto,
     mixing_spec,
     pmf_mixed_poisson,
-    pmf_offspring,
     pmf_stopped_sum,
     attribute_tail_asymptotic,
     coefficient_from_ratio,
@@ -85,8 +84,8 @@ def degenerate_pair():
 
 
 def test_point_weights_match_degenerate_oracle(degenerate_pair):
-    # Count truncation at the build tolerance costs up to a few tol of
-    # absolute mass at deep k, hence the two-part error allowance.
+    # The degree laws enter as 1 - tol of their masses, within the
+    # relative allowance; the absolute one is a few tol of the prefactor.
     params, oracle, laws = degenerate_pair
     for k in range(2, 41):
         a, b = laws.point_weights(k)
@@ -110,9 +109,9 @@ def test_tail_weights_match_degenerate_oracle(degenerate_pair):
 
 
 def test_predictions_match_degenerate_oracle(degenerate_pair):
-    # Deep in the tail the truncated grid admits it knows less: the interval
-    # widens (and must still cover the truth), and the midpoints drift by at
-    # most the truncation allowance.
+    # Deep in the tail the grid admits it knows less: the interval widens
+    # (and must still cover the truth), and the midpoints drift by at most
+    # the allowance.
     params, oracle, laws = degenerate_pair
     cases = ((2, 1e-9), (3, 1e-9), (5, 1e-9), (9, 1e-9), (17, 1e-9), (30, 1e-3))
     rows = theory_curve(params, [k for k, _ in cases], k_max=512, tol=BUILD_TOL)
@@ -194,29 +193,44 @@ def test_shift_domain_errors(pareto_laws):
         laws.point_weights(1024 + 3)
 
 
-def test_limit_laws_convolve_each_power_of_tau_once(monkeypatch):
-    # d1 and d2 share the baby steps tau^{*1..B}, which the two single-count
-    # sums make once each; the route laws add three convolutions.
+def test_limit_laws_run_one_recursion_and_three_convolutions(monkeypatch):
+    # d1 and d2 come from one run of the mixed Poisson recursion, for the
+    # indices 6 - 1 and 6 - 2 of their counts; the route laws make the only
+    # three convolutions of whole pmfs.
     params = ModelParams(10000, 10000, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0))
-    tau = pmf_offspring(params, 1024)
-    counts = [pmf_mixed_poisson(mixing_spec(params, "actor", r), 1024) for r in (1, 2)]
-    convolve_raw = ss._convolve_raw
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return convolve_raw(*args)
-
-    monkeypatch.setattr(ss, "_convolve_raw", counting)
-    alone = []
-    for count in counts:
-        calls.clear()
-        pmf_stopped_sum(count, tau, 1024, 1e-10)
-        alone.append(len(calls))
-        assert ss._truncation(count, 1e-10)[0] >= ss._BLOCK
-    calls.clear()
+    recursions, convolutions = [], []
+    compound_rows, convolve_raw = ss._compound_rows, ss._convolve_raw
+    monkeypatch.setattr(ss, "_compound_rows",
+                        lambda *args: recursions.append(args[2]) or compound_rows(*args))
+    monkeypatch.setattr(ss, "_convolve_raw",
+                        lambda *args: convolutions.append(1) or convolve_raw(*args))
     LimitLaws(params, 1024)
-    assert len(calls) == sum(alone) - ss._BLOCK + 3
+    assert recursions == [[5.0, 4.0]]
+    assert len(convolutions) == 3
+
+
+#: The four law pairs of the theory's reach, (alpha, gamma) with x_min = 1.
+REACH_PAIRS = [(7.0, 6.0), (9.0, 5.5), (6.6, 5.1), (6.0, 6.5)]
+
+
+@pytest.mark.parametrize("alpha, gamma", REACH_PAIRS,
+                         ids=[f"pareto(1,{a:g})/(1,{g:g})" for a, g in REACH_PAIRS])
+def test_c_pred_does_not_depend_on_tol(alpha, gamma):
+    # The degree laws carry no count truncation, and tol scales both point
+    # weights alike, so every numeric c_pred over k 3..187 at the default
+    # tol is that of the tol 1e-14 build.  A count truncated at tol cut 3.2 %
+    # of a(187) for pareto(1,7)/(1,6): c_pred(187) read 0.144427, not
+    # 0.148443.
+    params = pareto_params(alpha, gamma)
+    rows = theory_curve(params, range(3, 188))
+    fine = theory_curve(params, range(3, 188), tol=1e-14)
+    numeric = [(row, ref) for row, ref in zip(rows, fine) if not row.asymptotic]
+    assert len(numeric) >= 160
+    for row, ref in numeric:
+        assert row.c_pred == pytest.approx(ref.c_pred, rel=1e-12, abs=0.0), row.k
+    if (alpha, gamma) == (7.0, 6.0):
+        assert rows[-1].c_pred == pytest.approx(0.148443, abs=1e-6)
+
 
 def test_model_params_validation():
     with pytest.raises(ValueError):
@@ -578,21 +592,9 @@ def test_adaptive_grid_intervals_overlap_fine_build(window):
             assert iv.lo <= fine_iv.hi + slack and fine_iv.lo <= iv.hi + slack, got.k
 
 
-def test_counts_run_on_a_grid_a_sum_of_them_leaves():
-    # The counts' grid is long enough that the sum of that many tau has mean
-    # at least twice the sums' grid: E[tau] = 1.44 at beta = 1 and 0.36 at
-    # beta = 16 for pareto(1,7)/(1,6), and 5.76 for pareto(2,7)/(2,6).  At
-    # most 64 times the sums' grid: E[tau] = 1e-4 for the degenerate pair.
-    cases = [(pareto_params(7.0, 6.0), 178), (pareto_params(7.0, 6.0, beta=16.0), 712),
-             (ModelParams(100, 100, 1.0, Pareto(2.0, 7.0), Pareto(2.0, 6.0)), 128),
-             (ModelParams(100, 100, 1.0, Degenerate(1e-4), Degenerate(1.0)), 8192)]
-    for params, count_k_max in cases:
-        assert LimitLaws(params, 128).count_k_max == count_k_max
-
-
 def test_one_grid_keeps_the_asymptotic_switch():
     # Over k 2..300 the default law pair builds 1024 entries, not the 4096
-    # cap, and turns asymptotic at k = 224, as the cap build does.  Row 223
+    # cap, and turns asymptotic at k = 225, as the cap build does.  Row 224
     # is numeric with A 9.9 % wide, close to the 10 % switch.
     rows = th.theory_curve(pareto_params(7.0, 6.0), range(2, 301))
-    assert next(row.k for row in rows if row.asymptotic) == 224
+    assert next(row.k for row in rows if row.asymptotic) == 225
