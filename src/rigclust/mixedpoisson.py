@@ -202,64 +202,40 @@ def _log_mass_offset(k: int) -> float:
     return 0.5 * math.log(x) + _LOG_SQRT_2PI + float(_stirling_correction(x))
 
 
-def _poisson_rows(rates: np.ndarray, s_lo: int, s_hi: int, log_fact: np.ndarray,
-                  index: np.ndarray) -> np.ndarray:
-    """Matrix of Poisson masses, rows over rates, columns s_lo..s_hi.
-
-    Rates must be positive and ``index`` holds 0.0, 1.0, ... as floats.  The
-    block is built in log space, in place, so huge rates and deep tails
-    underflow cleanly to zero instead of overflowing; callers hold
-    ``np.errstate(under="ignore")``.
-    """
-    block = np.multiply(np.log(rates)[:, None], index[s_lo:s_hi + 1])
-    block -= rates[:, None]
-    block -= log_fact[s_lo:s_hi + 1]
-    return np.exp(block, out=block)
-
-
-def _poisson_upper_tail(k_max: int, rates: np.ndarray) -> np.ndarray:
-    """P(Poisson(rate) > K) for K = k_max and positive rates.
+def _poisson_upper_tail(k_max: int, rate: float) -> float:
+    """P(Poisson(rate) > K) for K = k_max and a positive rate.
 
     The relative error is within the margin of :func:`_tail_bounds`.  Each
     series starts from a leading mass taken in log space.  For rate <= K + 1
     the tail is p(K+1) * sum_j prod_{i<=j} rate/(K+1+i), plus a geometric
     bound on the terms left out; above K + 1 it is 1 - p(K) * sum_j
-    prod_{i<j} (K-i)/rate.  A series stops once the terms of its slowest row are below
-    e**-40; a row whose leading mass underflows is 0 (or 1) without summing.
+    prod_{i<j} (K-i)/rate.  A series stops once its terms are below e**-40;
+    a rate whose leading mass underflows gives 0 (or 1) without summing.
     """
     k = int(k_max)
     x = k + 1.0
-    rates = np.asarray(rates, dtype=np.float64)
-    low = rates <= x
-    out = np.where(low, 0.0, 1.0)
+    low = rate <= x
     with np.errstate(divide="ignore", under="ignore"):
-        # log p(K), plus log(rate / x) = log(p(K+1) / p(K)) on the low rows.
-        log_q = np.log(rates / x)
-        log_lead = (k + low) * log_q - (rates - x) - _log_mass_offset(k)
-        live = log_lead > _LOG_SUBNORMAL
+        # log p(K), plus log(rate / x) = log(p(K+1) / p(K)) below K + 1.
+        log_q = np.log(rate / x)
+        log_lead = (k + low) * log_q - (rate - x) - _log_mass_offset(k)
+        if not log_lead > _LOG_SUBNORMAL:
+            return 0.0 if low else 1.0
         # Within this many terms every series falls below e**-40.
         j = np.arange(1.0, 41.0 + math.sqrt(1600.0 + 80.0 * x))
-        rows = low & live
-        if rows.any():
-            # log of term j: j log(rate / x) - sum_{i<=j} log(1 + i/x); the
-            # largest rate has the slowest series.
-            q = log_q[rows]
+        if low:
+            # log of term j: j log(rate / x) - sum_{i<=j} log(1 + i/x).
             d = np.cumsum(np.log1p(j / x))
-            n = np.count_nonzero(j * q.max() - d >= _LOG_SERIES_CUT) + 1
-            terms = np.exp(j[:n, None] * q - d[:n, None])
-            last = rates[rows] / (x + 1.0 + len(terms))  # at least every ratio left out
-            series = terms.sum(axis=0) + terms[-1] * last / (1.0 - last)
-            out[rows] = np.exp(log_lead[rows] + np.log1p(series))
-        rows = ~low & live
-        if rows.any():
-            # log of term j: sum_{i<=j} log(1 - i/x) - j log(rate / x); the
-            # smallest rate has the slowest series.
-            q = log_q[rows]
-            d = np.cumsum(np.log1p(-np.minimum(j, x) / x))
-            n = np.count_nonzero(d - j * q.min() >= _LOG_SERIES_CUT) + 1
-            terms = np.exp(d[:n, None] - j[:n, None] * q)
-            out[rows] = 1.0 - np.exp(log_lead[rows] + np.log1p(terms.sum(axis=0)))
-    return out
+            n = np.count_nonzero(j * log_q - d >= _LOG_SERIES_CUT) + 1
+            terms = np.exp(j[:n] * log_q - d[:n])
+            last = rate / (x + 1.0 + n)  # at least every ratio left out
+            series = terms.sum() + terms[-1] * last / (1.0 - last)
+            return float(np.exp(log_lead + np.log1p(series)))
+        # log of term j: sum_{i<=j} log(1 - i/x) - j log(rate / x).
+        d = np.cumsum(np.log1p(-np.minimum(j, x) / x))
+        n = np.count_nonzero(d - j * log_q >= _LOG_SERIES_CUT) + 1
+        terms = np.exp(d[:n] - j[:n] * log_q)
+        return float(1.0 - np.exp(log_lead + np.log1p(terms.sum())))
 
 
 def _tail_bounds(tail: float, k_max: int) -> tuple[float, float]:
@@ -299,9 +275,9 @@ def _atomic_mixture(law: Finite, scale: float, r: int, k_max: int) -> Pmf:
         if rate == 0.0:
             mass[0] += q
             continue
-        rate_arr = np.array([rate])
-        mass += q * _poisson_rows(rate_arr, 0, k_max, log_fact, index)[0]
-        tail += q * float(_poisson_upper_tail(k_max, rate_arr)[0])
+        # In log space, so that huge rates and deep tails underflow to zero.
+        mass += q * np.exp(np.log(rate) * index - rate - log_fact)
+        tail += q * _poisson_upper_tail(k_max, rate)
     lo, hi = _tail_bounds(tail, k_max)
     return Pmf(mass, hi, lo)
 
@@ -348,10 +324,14 @@ def _gamma_cf(nu: float, z: float) -> float:
     return h
 
 
-def _pareto_start(a: float, z: float, s_hi: int, log_fact: np.ndarray) -> list[float]:
-    """a z**a Gamma(s - a, z) / s! for s = 0..s_hi, one by one.
+def _pareto_start(a: float, z: float, s_hi: int, log_fact: np.ndarray,
+                  scaled: bool = False) -> list[float]:
+    """a z**a Gamma(s - a, z) / s! for s = 0..s_hi, one by one, times e**z if
+    ``scaled``: the first masses of a Poisson law mixed over a rate Pareto on
+    [z, inf) with index a.
 
-    For z >= 2 this is the continued fraction.  Below 2 it is the series
+    For z >= 2 this is the continued fraction, whose e**-z a scaled value
+    leaves out, so that it stays in range at any z.  Below 2 it is the series
     (DLMF 8.7.3) z**a Gamma(nu, z) = z**a Gamma(nu) - sum_k (-1)**k
     z**(s+k) / (k! (nu + k)), nu = s - a, on the powers z**j / j!, which
     neither overflow nor lose digits in log space.  The term at the pole -n
@@ -362,7 +342,8 @@ def _pareto_start(a: float, z: float, s_hi: int, log_fact: np.ndarray) -> list[f
     """
     log_z = math.log(z)
     if z >= 2.0:
-        return [math.exp(math.log(a) + s * log_z - z - log_fact[s]) * _gamma_cf(s - a, z)
+        shift = 0.0 if scaled else z
+        return [math.exp(math.log(a) + s * log_z - shift - log_fact[s]) * _gamma_cf(s - a, z)
                 for s in range(s_hi + 1)]
     top = round(a)
     eps = top - a
@@ -388,17 +369,7 @@ def _pareto_start(a: float, z: float, s_hi: int, log_fact: np.ndarray) -> list[f
             head = (-1) ** n * power[v] * power[n] * (
                 math.fsum(1.0 / j for j in range(1, n + 1)) - _EULER_GAMMA - log_z)
         out.append(a * (head - power[v] * math.fsum(row)))
-    return out
-
-
-def _pareto_head(a: float, z: float, s_hi: int) -> list[float]:
-    """e**z a z**a Gamma(s - a, z) / s! for s = 0..s_hi: the first masses of a
-    Poisson law mixed over a rate Pareto on [z, inf) with index a, times e**z."""
-    log_fact = _log_factorials(s_hi)
-    if z >= 2.0:
-        return [math.exp(math.log(a) + s * math.log(z) - log_fact[s]) * _gamma_cf(s - a, z)
-                for s in range(s_hi + 1)]
-    return [m * math.exp(z) for m in _pareto_start(a, z, s_hi, log_fact)]
+    return [m * math.exp(z) for m in out] if scaled else out
 
 
 def _pareto_mixture(law: Pareto, scale: float, r: int, k_max: int) -> Pmf:
@@ -430,7 +401,7 @@ def _pareto_mixture(law: Pareto, scale: float, r: int, k_max: int) -> Pmf:
         for c, t in zip(((s - a) / (s + 1)).tolist(), terms):
             m = c * m + t
             mass.append(m)
-    tail = float(_poisson_upper_tail(k_max, np.array([z]))[0]) + (k_max + 1) * mass[-1] / a
+    tail = _poisson_upper_tail(k_max, z) + (k_max + 1) * mass[-1] / a
     lo, hi = _tail_bounds(tail, k_max)
     return Pmf(mass[:-1], hi, lo)
 

@@ -22,7 +22,7 @@ from rigclust import (
     pmf_offspring,
     sample_biased,
 )
-from rigclust.mixedpoisson import _log_factorials, _poisson_upper_tail
+from rigclust.mixedpoisson import _log_factorials, _pareto_start, _poisson_upper_tail
 
 
 def pareto_mixture_entry(x_min: float, alpha: float, scale: float, s: int) -> float:
@@ -174,12 +174,22 @@ def test_poisson_upper_tail_matches_gammainc(k_max):
         np.logspace(-300.0, 300.0, 1201),
         np.linspace(max(1e-3, k_max - spread), k_max + spread + 40.0, 801),
         [k_max, k_max + 1.0, k_max + 2.0])))
-    got = _poisson_upper_tail(k_max, rates)
+    got = np.array([_poisson_upper_tail(k_max, rate) for rate in rates.tolist()])
     # Relative error on normal doubles; below them both sides are ~zero.
     np.testing.assert_allclose(got, gammainc(k_max + 1, rates), rtol=1e-11,
                                atol=np.finfo(np.float64).tiny)
     assert got.min() >= 0.0 and got.max() <= 1.0
     assert np.all(np.diff(got) >= 0.0)
+
+
+@pytest.mark.parametrize("k_max", [1, 64, 4096])
+def test_poisson_upper_tail_of_an_underflowing_lead_is_exact(k_max):
+    # The leading mass p(K + 1) (below K + 1) or p(K) (above) is below the
+    # smallest double: the tail is exactly 0, or exactly 1, with no series.
+    for rate in (1e-300, 1e-200):
+        assert _poisson_upper_tail(k_max, rate) == 0.0
+    for rate in (1e300, 1e6 * (k_max + 1)):
+        assert _poisson_upper_tail(k_max, rate) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +425,30 @@ def test_pareto_tail_bounds_bracket_the_exact_tail(x_min, alpha, scale, k_max):
                  + z**a * gamma_ratio(k_max, a - 1.0) * gammaincc(k_max + 1 - a, z))
         assert res.tail_lo <= exact <= res.tail_mass, r
         assert abs(math.fsum(res.mass) + res.tail_mass - 1.0) <= 1e-12
+
+
+#: Tail indices of the start values: integers (the pole of Gamma at the
+#: nearest one folded in), one 1e-7 off an integer, and a half-integer.
+START_INDICES = [5.0, 4.0, 6.0 - 1e-7, 2.5]
+
+
+@pytest.mark.parametrize("a", START_INDICES)
+def test_scaled_start_values_are_the_start_values_times_e_to_the_z(a):
+    s_hi = math.floor(a) + 1
+    log_fact = _log_factorials(s_hi)
+    for z in (0.5, 1.99):  # the series: the same values, each times e**z
+        plain = _pareto_start(a, z, s_hi, log_fact)
+        assert _pareto_start(a, z, s_hi, log_fact, scaled=True) == [
+            m * math.exp(z) for m in plain]
+    for z in (2.0, 5.0, 50.0):  # the continued fraction, without its e**-z
+        plain = _pareto_start(a, z, s_hi, log_fact)
+        scaled = _pareto_start(a, z, s_hi, log_fact, scaled=True)
+        np.testing.assert_allclose(scaled, np.array(plain) * math.exp(z), rtol=1e-14, atol=0.0)
+    # At z = 876.7 (the rate c of pareto(1,7)/pareto(25,6) at beta 1e4) every
+    # unscaled value underflows to 0.
+    assert _pareto_start(a, 876.7, s_hi, log_fact) == [0.0] * (s_hi + 1)
+    huge = _pareto_start(a, 876.7, s_hi, log_fact, scaled=True)
+    assert all(0.0 < m < math.inf for m in huge)
 
 
 def test_subnormal_tail_is_bracketed():

@@ -396,14 +396,17 @@ SHARED_CASES = {
     "theory-dense": (law_pair("pareto(2,7)", "pareto(2,6)"), (0, 1, 2), 1024),
     "acceptance": (law_pair("pareto(1,7)", "pareto(1,6)"), (1, 2), 128),
     "finite": (law_pair("pareto(1,7)", "finite([(0,0.5),(2,0.5)])"), (0, 1, 2), 128),
+    "unweighted": (law_pair("pareto(1,7)", "finite([(3,0),(2,1)])"), (0, 1, 2), 128),
 }
 
 
 @pytest.mark.parametrize("case", list(SHARED_CASES))
 def test_counts_of_one_law_share_one_recursion(case, monkeypatch):
     # Counts over one law make one pass of the recursion (one compound
-    # Poisson pass per atom for a finite law), and each pmf is the one its
-    # count gives alone, up to the order of the sums in a matrix product.
+    # Poisson pass per atom above 0 that a count weights for a finite law:
+    # the atom at 0 is the point mass at 0, the atom at 3 has no weight), and
+    # each pmf is the one its count gives alone, up to the order of the sums
+    # in a matrix product.
     params, orders, k_max = SHARED_CASES[case]
     tau = pmf_offspring(params, k_max)
     counts = [mixing_spec(params, "actor", r) for r in orders]
@@ -412,7 +415,7 @@ def test_counts_of_one_law_share_one_recursion(case, monkeypatch):
     monkeypatch.setattr(stoppedsum, "_compound_rows",
                         lambda *args: calls.append(args) or compound_rows(*args))
     shared = pmf_stopped_sums(counts, tau, k_max)
-    assert len(calls) == (1 if case != "finite" else 2)
+    assert len(calls) == 1
     for got, count in zip(shared, counts):
         alone = pmf_stopped_sums([count], tau, k_max)[0]
         assert np.all(np.abs(got.mass - alone.mass) <= 1e-14 * alone.mass)
